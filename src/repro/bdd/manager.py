@@ -76,7 +76,7 @@ def row_mask(n: int, j: int) -> int:
     """Mask over ``2**n`` table rows selecting rows whose bit ``j`` is set.
 
     Shared by :meth:`BDD.to_truth_bits` and the truth-table scoring fast path
-    in :mod:`repro.partitioning.ttscore`.
+    in :mod:`repro.partitioning.kernel`.
     """
     mask = _ROW_MASKS.get((n, j))
     if mask is None:

@@ -546,7 +546,7 @@ def _add_flow_options(cmd: argparse.ArgumentParser) -> None:
                           "(start one with 'repro broker', attach workers "
                           "with 'repro worker')")
     cmd.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (engine workers, bound-set scoring)")
+                     help="engine worker processes (--executor process)")
     cmd.add_argument("--bdd-backend", choices=list(BACKEND_NAMES),
                      default=DEFAULT_BACKEND,
                      help="BDD manager implementation: object (reference) or "

@@ -33,6 +33,7 @@ from repro import observe
 from repro.bdd.manager import BDD
 from repro.errors import DecompositionError
 from repro.imodec.decomposer import MultiOutputDecomposition, decompose_multi
+from repro.partitioning.kernel import BoundSetKernel
 from repro.partitioning.variables import choose_bound_set
 from repro.targets import make_target
 
@@ -115,11 +116,16 @@ class LadderPeelPolicy:
         :meth:`repro.targets.base.TechTarget.candidate_key`); for the
         reference ``xc3000-clb`` target it is exactly the historical
         tuple, keeping the default flow byte-identical.
+
+        The policy owns one bound-set scoring kernel for its lifetime, so
+        the second scorer of an attempt and every later attempt on the
+        same vector reuse the scores already computed.
         """
         self.config = config
         self.target = make_target(
             getattr(config, "target", None) or f"lut-{config.k}"
         )
+        self.kernel = BoundSetKernel()
 
     # -- one decomposition attempt -------------------------------------
 
@@ -146,7 +152,7 @@ class LadderPeelPolicy:
         for scorer in scorers:
             bs_, fs_ = choose_bound_set(
                 bdd, vec, union, bound,
-                strategy=config.var_strategy, scorer=scorer, jobs=config.jobs,
+                strategy=config.var_strategy, scorer=scorer, kernel=self.kernel,
             )
             if tuple(bs_) in tried:
                 observe.add("scorer_race_skips")

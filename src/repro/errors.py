@@ -22,9 +22,8 @@ class DecompositionError(ReproError):
     """The decomposition machinery reached an inconsistent state.
 
     Raised when an internal invariant of the implicit algorithm (Lmax layer
-    computation, partial-assignment refinement, bound-set scoring) is
-    violated -- always a bug or an unsupported input, never a routine
-    condition.
+    computation, partial-assignment refinement) is violated -- always a bug
+    or an unsupported input, never a routine condition.
     """
 
 

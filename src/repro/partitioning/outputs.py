@@ -20,9 +20,9 @@ from typing import Sequence
 
 from repro import observe
 from repro.bdd.manager import BDD
-from repro.decompose.compat import codewidth, local_partition
-from repro.decompose.partitions import Partition
+from repro.decompose.compat import codewidth
 from repro.imodec.decomposer import decompose_multi
+from repro.partitioning.kernel import BoundSetKernel
 from repro.partitioning.variables import choose_bound_set
 
 
@@ -35,7 +35,11 @@ class TrialResult:
 
 
 def solo_codewidth(
-    bdd: BDD, f: int, input_levels: Sequence[int], bound_size: int, jobs: int = 1
+    bdd: BDD,
+    f: int,
+    input_levels: Sequence[int],
+    bound_size: int,
+    kernel: BoundSetKernel | None = None,
 ) -> int | None:
     """Codewidth of a single output with its *own* best bound set.
 
@@ -45,8 +49,10 @@ def solo_codewidth(
     usable = [lvl for lvl in input_levels if lvl in support]
     if len(usable) <= bound_size:
         return None
-    bs, _ = choose_bound_set(bdd, [f], usable, bound_size, jobs=jobs)
-    return codewidth(local_partition(bdd, f, bs).num_blocks)
+    kernel = kernel if kernel is not None else BoundSetKernel()
+    bs, _ = choose_bound_set(bdd, [f], usable, bound_size, kernel=kernel)
+    # For a single output the kernel's class total is its local class count.
+    return codewidth(kernel.score(bdd, [f], bs)[1])
 
 
 def trial_gain(
@@ -56,7 +62,7 @@ def trial_gain(
     bound_size: int,
     max_globals: int | None = None,
     solo_costs: Sequence[int] | None = None,
-    jobs: int = 1,
+    kernel: BoundSetKernel | None = None,
 ) -> TrialResult | None:
     """Gain of decomposing the given vector together, against solo baselines.
 
@@ -73,8 +79,12 @@ def trial_gain(
     usable = [lvl for lvl in input_levels if lvl in supports]
     if len(usable) <= bound_size:
         return None
+    kernel = kernel if kernel is not None else BoundSetKernel()
     if solo_costs is None:
-        maybe = [solo_codewidth(bdd, f, input_levels, bound_size, jobs=jobs) for f in f_nodes]
+        maybe = [
+            solo_codewidth(bdd, f, input_levels, bound_size, kernel=kernel)
+            for f in f_nodes
+        ]
         if any(c is None for c in maybe):
             return None
         solo_costs = [c for c in maybe if c is not None]
@@ -83,10 +93,10 @@ def trial_gain(
     best: TrialResult | None = None
     for scorer in ("compact", "shared") if len(f_nodes) > 1 else ("compact",):
         observe.add("trial_decompositions")
-        bs, fs = choose_bound_set(bdd, f_nodes, usable, bound_size, scorer=scorer, jobs=jobs)
-        parts = [local_partition(bdd, f, bs) for f in f_nodes]
-        glob = Partition.product_all(parts)
-        if max_globals is not None and glob.num_blocks > max_globals:
+        bs, fs = choose_bound_set(
+            bdd, f_nodes, usable, bound_size, scorer=scorer, kernel=kernel
+        )
+        if max_globals is not None and kernel.score(bdd, f_nodes, bs)[0] > max_globals:
             continue
         # The trial decomposition itself (no g construction: only q needed).
         result = decompose_multi(bdd, list(f_nodes), bs, fs, build_g=False)
@@ -154,16 +164,18 @@ def partition_outputs(
     bound_size: int,
     max_group: int | None = None,
     max_globals: int | None = 64,
-    jobs: int = 1,
 ) -> list[list[int]]:
     """Group output indices into decomposition vectors (the paper's heuristic).
+
+    Every bound-set search of the call shares one
+    :class:`~repro.partitioning.kernel.BoundSetKernel`, emptied on return.
 
     Recorded under a ``partition_outputs`` span (trial-decomposition counts,
     resulting group shapes) when a tracer is installed.
     """
-    with observe.span("partition_outputs"):
+    with observe.span("partition_outputs"), BoundSetKernel() as kernel:
         groups = _partition_outputs_impl(
-            bdd, f_nodes, input_levels, bound_size, max_group, max_globals, jobs
+            bdd, f_nodes, input_levels, bound_size, max_group, max_globals, kernel
         )
         observe.add("groups_formed", len(groups))
         observe.gauge("largest_group", max((len(g) for g in groups), default=0))
@@ -177,11 +189,11 @@ def _partition_outputs_impl(
     bound_size: int,
     max_group: int | None,
     max_globals: int | None,
-    jobs: int,
+    kernel: BoundSetKernel,
 ) -> list[list[int]]:
     remaining = list(range(len(f_nodes)))
     solo: dict[int, int | None] = {
-        k: solo_codewidth(bdd, f_nodes[k], input_levels, bound_size, jobs=jobs)
+        k: solo_codewidth(bdd, f_nodes[k], input_levels, bound_size, kernel=kernel)
         for k in remaining
     }
     groups: list[list[int]] = []
@@ -216,7 +228,7 @@ def _partition_outputs_impl(
                 bound_size,
                 max_globals,
                 solo_costs=[solo[k] for k in members],  # type: ignore[misc]
-                jobs=jobs,
+                kernel=kernel,
             )
             if trial is None or trial.gain <= current_gain:
                 # the paper: if the gain decreased, the combination is undone

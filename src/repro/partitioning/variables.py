@@ -12,57 +12,32 @@ local classes -- and search either exhaustively (small inputs) or greedily
 (grow the bound set one variable at a time, keeping the best-scoring
 extension).
 
-Two scoring engines produce identical scores (see
-:mod:`repro.partitioning.ttscore`): when every output's support fits in
-``TT_MAX_VARS`` variables, candidates are scored with packed-truth-table
-arithmetic (and optionally fanned out over a process pool via the ``jobs``
-argument); otherwise the generic BDD cofactoring path is used.  Candidate
-enumeration order is fixed and ties always resolve to the earliest
-candidate, so the chosen bound set does not depend on the engine or on
-``jobs``.
+Every candidate is scored by one exact kernel
+(:class:`repro.partitioning.kernel.BoundSetKernel`), which memoizes the
+per-output class structure and the per-candidate score across candidates,
+calls and both scorers.  Candidate enumeration order is fixed and ties
+always resolve to the earliest candidate, so the chosen bound set equals a
+plain first-minimum scan over :func:`score_bound_set`, the reference
+scorer the tests compare the kernel against.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from typing import Literal, Sequence
 
 from repro import observe
 from repro.bdd.manager import BDD
 from repro.decompose.compat import local_partition
 from repro.decompose.partitions import Partition
-from repro.errors import DecompositionError
-from repro.partitioning.ttscore import (
-    PARALLEL_MIN,
-    TT_MAX_VARS,
-    PreparedFn,
-    score_chunk,
-)
+from repro.partitioning.kernel import BoundSetKernel, Triple, tabulable
 
 Strategy = Literal["auto", "exhaustive", "greedy", "random"]
+Scorer = Literal["compact", "shared"]
 
 #: Maximum number of candidate bound sets evaluated exhaustively.
 EXHAUSTIVE_BUDGET = 400
-
-
-Scorer = Literal["compact", "shared"]
-
-# Lazily created, process-wide scoring pool (workers are fork-cheap and
-# reusable across calls; the pool is rebuilt only when ``jobs`` changes).
-_POOL: ProcessPoolExecutor | None = None
-_POOL_JOBS = 0
-
-
-def _get_pool(jobs: int) -> ProcessPoolExecutor:
-    global _POOL, _POOL_JOBS
-    if _POOL is None or _POOL_JOBS != jobs:
-        if _POOL is not None:
-            _POOL.shutdown(wait=False)
-        _POOL = ProcessPoolExecutor(max_workers=jobs)
-        _POOL_JOBS = jobs
-    return _POOL
 
 
 def score_bound_set(
@@ -85,6 +60,11 @@ def score_bound_set(
       private to one output make the vector decompose as singletons.
 
     The flow tries both and keeps the better decomposition.
+
+    This is the reference scorer, built directly on Definition 1's local
+    partitions; :func:`choose_bound_set` scores through
+    :class:`~repro.partitioning.kernel.BoundSetKernel`, whose triples the
+    tests require to agree with it.
     """
     parts = [local_partition(bdd, f, bs_levels) for f in f_nodes]
     glob = Partition.product_all(parts)
@@ -98,53 +78,15 @@ def score_bound_set(
     raise ValueError(f"unknown scorer {scorer!r}")
 
 
-def _prepare_functions(
-    bdd: BDD, f_nodes: Sequence[int]
-) -> list[PreparedFn] | None:
-    """Per-function packed truth tables for the fast path, or None if too big.
-
-    Each function is tabulated over its *own* sorted support, so the fast
-    path works for arbitrarily wide candidate scopes as long as every
-    individual output fits ``TT_MAX_VARS`` variables.
-    """
-    fns: list[PreparedFn] = []
-    for f in f_nodes:
-        sup = tuple(sorted(bdd.support(f)))
-        if len(sup) > TT_MAX_VARS:
-            return None
-        fns.append((bdd.to_truth_bits(f, sup), sup))
-    return fns
-
-
-def _best_candidate(
-    fns: list[PreparedFn],
-    combos: list[tuple[int, ...]],
-    scorer: str,
-    jobs: int,
-) -> int:
-    """Index of the best-scoring combo -- first minimum, regardless of jobs.
-
-    Chunks are contiguous, each worker returns its first minimum, and the
-    reduction compares ``(score, index)``, so the parallel result is
-    identical to a serial first-minimum scan.
-    """
-    indexed = list(enumerate(combos))
-    if jobs > 1 and len(indexed) >= PARALLEL_MIN:
-        pool = _get_pool(jobs)
-        chunk_size = -(-len(indexed) // (jobs * 4))
-        chunks = [
-            indexed[i : i + chunk_size] for i in range(0, len(indexed), chunk_size)
-        ]
-        winners = pool.map(
-            score_chunk, *zip(*[(fns, c, scorer) for c in chunks])
-        )
-        return min(w for w in winners if w is not None)[1]
-    result = score_chunk(fns, indexed, scorer)
-    if result is None:
-        raise DecompositionError(
-            "truth-table scoring returned no winner for a non-empty candidate set"
-        )
-    return result[1]
+def _first_minimum(triples: list[Triple], scorer: Scorer) -> int:
+    """Index of the first candidate with the smallest ``scorer`` key."""
+    if scorer == "compact":
+        keys = [(p, classes, -dep) for p, classes, dep in triples]
+    elif scorer == "shared":
+        keys = [(p, -dep, classes) for p, classes, dep in triples]
+    else:
+        raise ValueError(f"unknown scorer {scorer!r}")
+    return keys.index(min(keys))
 
 
 def choose_bound_set(
@@ -155,17 +97,18 @@ def choose_bound_set(
     strategy: Strategy = "auto",
     rng: random.Random | None = None,
     scorer: Scorer = "compact",
-    jobs: int = 1,
+    kernel: BoundSetKernel | None = None,
 ) -> tuple[list[int], list[int]]:
     """Pick a bound set of ``bound_size`` variables from ``input_levels``.
 
     Returns ``(bs_levels, fs_levels)``.  The free set is never empty: at
-    most ``len(input_levels) - 1`` variables can be bound.  ``jobs`` > 1
-    fans the scoring loop out over a process pool (same result, see module
-    docstring).
+    most ``len(input_levels) - 1`` variables can be bound.  Candidates are
+    scored by ``kernel``; pass the scope's kernel to reuse its memo (the
+    winner's score can then be read back with ``kernel.score``), or leave
+    it out to score with a kernel private to this call.
 
     Recorded under a ``choose_bound_set`` span (candidates scored, scoring
-    engine taken) when a tracer is installed; tracing never changes the
+    route taken) when a tracer is installed; tracing never changes the
     chosen bound set.
     """
     levels = list(input_levels)
@@ -178,53 +121,31 @@ def choose_bound_set(
             num_candidates = _n_choose_k(n, bound_size)
             strategy = "exhaustive" if num_candidates <= EXHAUSTIVE_BUDGET else "greedy"
 
-        fns = _prepare_functions(bdd, f_nodes) if strategy != "random" else None
-        if strategy != "random":
-            observe.add("tt_fast_path" if fns is not None else "bdd_scoring_path")
-
-        if strategy == "exhaustive":
-            combos = list(itertools.combinations(levels, bound_size))
-            observe.add("candidates_scored", len(combos))
-            if fns is not None:
-                bs = list(combos[_best_candidate(fns, combos, scorer, jobs)])
-            else:
-                best = None
-                best_score = None
-                for combo in combos:
-                    score = score_bound_set(bdd, f_nodes, combo, scorer)
-                    if best_score is None or score < best_score:
-                        best, best_score = list(combo), score
-                if best is None:
-                    raise DecompositionError(
-                        "exhaustive bound-set search scored no candidate "
-                        f"(n={n}, bound_size={bound_size})"
-                    )
-                bs = best
-        elif strategy == "greedy":
-            bs = []
-            remaining = list(levels)
-            while len(bs) < bound_size:
-                observe.add("candidates_scored", len(remaining))
-                if fns is not None:
-                    combos = [tuple(bs + [var]) for var in remaining]
-                    best_var = remaining[_best_candidate(fns, combos, scorer, jobs)]
-                else:
-                    best_var = None
-                    best_score = None
-                    for var in remaining:
-                        score = score_bound_set(bdd, f_nodes, bs + [var], scorer)
-                        if best_score is None or score < best_score:
-                            best_var, best_score = var, score
-                    if best_var is None:
-                        raise DecompositionError(
-                            "greedy bound-set extension scored no candidate "
-                            f"(n={n}, bound_size={bound_size})"
-                        )
-                bs.append(best_var)
-                remaining.remove(best_var)
-        elif strategy == "random":
+        if strategy == "random":
             rng = rng or random.Random(0)
             bs = rng.sample(levels, bound_size)
+        elif strategy in ("exhaustive", "greedy"):
+            if kernel is None:
+                kernel = BoundSetKernel()
+            observe.add(
+                "tt_fast_path" if tabulable(bdd, f_nodes) else "bdd_scoring_path"
+            )
+            if strategy == "exhaustive":
+                combos = list(itertools.combinations(levels, bound_size))
+                observe.add("candidates_scored", len(combos))
+                triples = kernel.triples(bdd, f_nodes, combos)
+                bs = list(combos[_first_minimum(triples, scorer)])
+            else:
+                bs = []
+                remaining = list(levels)
+                while len(bs) < bound_size:
+                    observe.add("candidates_scored", len(remaining))
+                    triples = kernel.triples(
+                        bdd, f_nodes, [bs + [var] for var in remaining]
+                    )
+                    best_var = remaining[_first_minimum(triples, scorer)]
+                    bs.append(best_var)
+                    remaining.remove(best_var)
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
 
