@@ -33,10 +33,6 @@ How a triple is computed:
 - ``l_k`` is the number of distinct ids; ``p`` is the number of distinct id
   tuples once every involved output's vector is gathered onto the vertices
   of the union of the ``D``.
-- Within one call, the levels all candidates share (a greedy step's
-  prefix) are handled once: the outputs that depend only on them keep the
-  same column for every candidate, so a candidate only works on the
-  outputs that depend on its own levels.
 
 The memo:
 
@@ -50,8 +46,8 @@ The memo:
 - Node ids mean something only inside their manager, so a kernel serves
   one manager at a time: handing it another manager (e.g. after
   ``--auto-reorder`` swapped in a sifted one) empties it first.
-- It holds at most ``max_entries`` entries; past that the oldest half of
-  every table is dropped, as the BDD operation cache does.
+- It holds at most :data:`MAX_ENTRIES` entries; past that the oldest half
+  of every table is dropped, as the BDD operation cache does.
 """
 
 from __future__ import annotations
@@ -68,12 +64,15 @@ from repro.decompose.compat import cofactor_map
 #: 2^14 rows = 2 KiB per packed table; beyond that, BDD cofactoring wins.
 TT_MAX_VARS = 14
 
-#: Default bound on the entries a kernel holds (class-id vectors, triples,
-#: truth tables and gather maps together).
+#: Bound on the entries a kernel holds (class-id vectors, triples, truth
+#: tables and gather maps together).
 MAX_ENTRIES = 1 << 15
 
 #: ``(p, total local classes, dependence)`` of one candidate bound set.
 Triple = tuple[int, int, int]
+
+#: A class-id vector: entry ``x`` is the class of the cofactor at vertex ``x``.
+Ids = bytes | tuple[int, ...]
 
 
 def vertex_cofactor_keys(table: int, n: int, positions: Sequence[int]) -> list[int]:
@@ -100,15 +99,16 @@ def tabulable(bdd: BDD, f_nodes: Sequence[int]) -> bool:
     return all(len(bdd.support(f)) <= TT_MAX_VARS for f in f_nodes)
 
 
-def _class_ids(keys: Sequence[int]) -> bytes | tuple[int, ...]:
-    """Keys re-labelled ``0, 1, ..`` in first-occurrence order.
+def _class_ids(keys: Sequence[int]) -> tuple[Ids, int]:
+    """Keys re-labelled ``0, 1, ..`` in first-occurrence order, and the
+    number of distinct keys.
 
-    The class count is then ``max(ids) + 1``.  Up to 256 vertices the ids
-    are packed into ``bytes``: one byte per vertex instead of eight.
+    Up to 256 vertices the ids are packed into ``bytes``: one byte per
+    vertex instead of eight.
     """
     ids: dict[int, int] = {}
     labels = [ids.setdefault(key, len(ids)) for key in keys]
-    return bytes(labels) if len(labels) <= 256 else tuple(labels)
+    return (bytes(labels) if len(labels) <= 256 else tuple(labels)), len(ids)
 
 
 def _levels(mask: int) -> list[int]:
@@ -130,21 +130,16 @@ class BoundSetKernel:
     Sets of levels are held as bit masks (bit ``l`` set for level ``l``).
     """
 
-    def __init__(self, max_entries: int = MAX_ENTRIES) -> None:
-        """An empty kernel holding at most ``max_entries`` entries."""
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._manager: weakref.ref | None = None
         # output edge -> (packed table, level -> bit position), or None for
         # an output too wide to tabulate
         self._tables: dict[int, tuple[int, dict[int, int]] | None] = {}
-        # (output edge, mask of D) -> class-id vector over D's vertices
-        self._classes: dict[tuple[int, int], bytes | tuple[int, ...]] = {}
+        # (output edge, mask of D) -> (class-id vector over D's vertices,
+        # number of classes)
+        self._classes: dict[tuple[int, int], tuple[Ids, int]] = {}
         # (vector id, mask of B) -> triple
         self._triples: dict[tuple[int, int], Triple] = {}
-        # one shared object per distinct triple value
-        self._values: dict[Triple, Triple] = {}
         # output vector -> vector id; ids are never reused, so a triple can
         # only ever be found under the vector that produced it
         self._vectors: dict[tuple[int, ...], int] = {}
@@ -154,10 +149,7 @@ class BoundSetKernel:
 
     def __len__(self) -> int:
         """Number of memo entries held."""
-        return (
-            len(self._tables) + len(self._classes) + len(self._triples)
-            + len(self._values) + len(self._vectors) + len(self._gathers)
-        )
+        return sum(len(table) for table in self._memos())
 
     def __enter__(self) -> "BoundSetKernel":
         return self
@@ -173,13 +165,13 @@ class BoundSetKernel:
 
     def _memos(self) -> tuple[dict, ...]:
         return (
-            self._tables, self._classes, self._triples, self._values,
-            self._vectors, self._gathers,
+            self._tables, self._classes, self._triples, self._vectors,
+            self._gathers,
         )
 
     def _make_room(self) -> None:
         """Keep one more entry within the bound: drop the oldest half of each table."""
-        if len(self) < self.max_entries:
+        if len(self) < MAX_ENTRIES:
             return
         for table in self._memos():
             for key in list(islice(iter(table), (len(table) + 1) // 2)):
@@ -206,12 +198,13 @@ class BoundSetKernel:
         self._tables[f] = entry
         return entry
 
-    def _class_vector(self, bdd: BDD, f: int, dep: int) -> bytes | tuple[int, ...]:
-        """Class-id vector of ``f`` over the vertices of ``D`` (mask ``dep``)."""
+    def _class_vector(self, bdd: BDD, f: int, dep: int) -> tuple[Ids, int]:
+        """Class-id vector of ``f`` over the vertices of ``D`` (mask ``dep``),
+        and its number of classes."""
         key = (f, dep)
-        vec = self._classes.get(key)
-        if vec is not None:
-            return vec
+        entry = self._classes.get(key)
+        if entry is not None:
+            return entry
         levels = _levels(dep)
         tabulated = self._table(bdd, f)
         if tabulated is not None:
@@ -221,18 +214,18 @@ class BoundSetKernel:
             )
         else:
             keys = cofactor_map(bdd, f, levels)
-        vec = _class_ids(keys)
+        entry = _class_ids(keys)
         self._make_room()
-        self._classes[key] = vec
-        return vec
+        self._classes[key] = entry
+        return entry
 
-    def _gather(self, size: int, positions: Sequence[int]) -> itemgetter:
+    def _gather(self, size: int, positions: tuple[int, ...]) -> itemgetter:
         """Map from a vertex space of ``size`` bits to a sub-space.
 
         Vertex ``u`` maps to the sub-space vertex whose bit ``j`` is bit
         ``positions[j]`` of ``u``.
         """
-        key = (size, tuple(positions))
+        key = (size, positions)
         gather = self._gathers.get(key)
         if gather is None:
             index = [
@@ -259,138 +252,67 @@ class BoundSetKernel:
             self._next_vector += 1
             self._make_room()
             self._vectors[vector] = vid
-        masks = []
+        # support masks, and level -> outputs depending on it
+        supports: list[int] = []
+        touched_by: dict[int, list[int]] = {}
+        for i, f in enumerate(vector):
+            mask = 0
+            for lvl in bdd.support(f):
+                mask |= 1 << lvl
+                touched_by.setdefault(lvl, []).append(i)
+            supports.append(mask)
+        memo = self._triples
+        out = []
         for combo in combos:
             bmask = 0
             for lvl in combo:
                 bmask |= 1 << lvl
-            masks.append(bmask)
-        memo = self._triples
-        out = [memo.get((vid, bmask)) for bmask in masks]
-        if None in out:
-            scorer = _CallScorer(self, bdd, vector, masks)
-            for k, bmask in enumerate(masks):
-                if out[k] is None:
-                    triple = scorer.score(combos[k], bmask)
-                    triple = self._values.setdefault(triple, triple)
-                    self._make_room()
-                    memo[(vid, bmask)] = out[k] = triple
-        return out  # type: ignore[return-value]
+            key = (vid, bmask)
+            triple = memo.get(key)
+            if triple is None:
+                touched: set[int] = set()
+                for lvl in combo:
+                    touched.update(touched_by.get(lvl, ()))
+                triple = self._score(bdd, vector, supports, touched, bmask)
+                self._make_room()
+                memo[key] = triple
+            out.append(triple)
+        return out
 
     def score(self, bdd: BDD, f_nodes: Sequence[int], combo: Sequence[int]) -> Triple:
         """The triple of one candidate bound set."""
         return self.triples(bdd, f_nodes, [combo])[0]
 
-
-class _CallScorer:
-    """Scores the candidates of one call, sharing the part they have in common.
-
-    A greedy step asks for ``prefix + [v]`` for every remaining ``v``; the
-    outputs that do not depend on ``v`` see the same ``D`` for every
-    candidate.  Their class-id vectors, gathered onto the vertices of the
-    common part ``C`` (the intersection of all candidates), are built once
-    per call; a candidate only handles the outputs depending on its own
-    levels ``B - C``.  The vertex space of a candidate is that of ``C``'s
-    levels (low bits) followed by its own levels (high bits), so a common
-    column extends to it by repetition.
-    """
-
-    def __init__(
+    def _score(
         self,
-        kernel: BoundSetKernel,
         bdd: BDD,
         vector: tuple[int, ...],
-        masks: list[int],
-    ) -> None:
-        self.kernel = kernel
-        self.bdd = bdd
-        self.vector = vector
-        common = masks[0]
-        for bmask in masks[1:]:
-            common &= bmask
-        self.common = common
-        # level -> indices of the outputs depending on it, and support masks
-        self.touched_by: dict[int, list[int]] = {}
-        self.supports: list[int] = []
-        for i, f in enumerate(vector):
-            mask = 0
-            for lvl in bdd.support(f):
-                self.touched_by.setdefault(lvl, []).append(i)
-                mask |= 1 << lvl
-            self.supports.append(mask)
-        deps = {}
-        union = 0
-        for i, smask in enumerate(self.supports):
-            if smask & common:
-                deps[i] = smask & common
-                union |= smask & common
-        position = {lvl: j for j, lvl in enumerate(_levels(union))}
-        self.size = len(position)
-        # output depending on C -> (its levels in C, their bit positions)
-        self.layout: dict[int, tuple[list[int], list[int]]] = {}
-        self.counts: dict[int, int] = {}
-        self.columns: list[tuple[int, ...]] = []
-        self.classes = len(vector) - len(deps)
-        self.dependence = 0
-        for i, dep in deps.items():
-            vec = kernel._class_vector(bdd, vector[i], dep)
-            levels = _levels(dep)
-            self.layout[i] = (levels, [position[lvl] for lvl in levels])
-            self.counts[i] = max(vec) + 1
-            self.classes += self.counts[i]
-            self.dependence += len(levels)
-            self.columns.append(kernel._gather(self.size, self.layout[i][1])(vec))
-        self.repeated = {1: self.columns}
-        # the triple of a candidate no output depends on beyond C
-        if len(self.columns) > 1:
-            num_globals = len(set(zip(*self.columns)))
-        else:
-            num_globals = next(iter(self.counts.values()), 1)
-        self.triple = (num_globals, self.classes, self.dependence)
-
-    def score(self, combo: Sequence[int], bmask: int) -> Triple:
-        """The triple of candidate ``combo`` (level mask ``bmask``)."""
-        extra = bmask & ~self.common
-        # outputs depending on the candidate's own levels, and those levels
-        own: set[int] = set()
-        levels = []
-        for lvl in sorted(combo):
-            if extra >> lvl & 1:
-                hit = self.touched_by.get(lvl)
-                if hit:
-                    own.update(hit)
-                    levels.append(lvl)
-        if not own:
-            return self.triple
-        kernel, vector, supports = self.kernel, self.vector, self.supports
-        memo = kernel._classes
-        classes = self.classes
-        dependence = self.dependence
-        base = self.size
-        size = base + len(levels)
-        repeat = 1 << len(levels)
-        repeated = self.repeated.get(repeat)
-        if repeated is None:
-            repeated = self.repeated[repeat] = [col * repeat for col in self.columns]
-        columns = [col for i, col in zip(self.layout, repeated) if i not in own]
-        for i in own:
-            smask = supports[i]
-            dep = bmask & smask
-            vec = memo.get((vector[i], dep)) or kernel._class_vector(
-                self.bdd, vector[i], dep
-            )
-            count = max(vec) + 1
-            classes += count - self.counts.get(i, 1)
-            placed = [
-                (lvl, base + j) for j, lvl in enumerate(levels) if smask >> lvl & 1
-            ]
-            dependence += len(placed)
-            layout = self.layout.get(i)
-            if layout is not None:
-                # D's vertex bits follow D's levels in ascending order
-                placed = sorted([*zip(*layout), *placed])
-            columns.append(kernel._gather(size, [pos for _, pos in placed])(vec))
-        if len(columns) == 1:
+        supports: list[int],
+        touched: set[int],
+        bmask: int,
+    ) -> Triple:
+        """The triple of candidate ``bmask``, which ``touched`` outputs depend on."""
+        classes = len(vector) - len(touched)
+        dependence = union = 0
+        involved = []
+        for i in touched:
+            dep = bmask & supports[i]
+            vec, count = self._class_vector(bdd, vector[i], dep)
+            classes += count
+            dependence += dep.bit_count()
+            union |= dep
+            involved.append((vec, dep))
+        if not involved:
+            return 1, classes, dependence
+        if len(involved) == 1:
             return count, classes, dependence
+        levels = _levels(union)
+        columns = [
+            vec if dep == union
+            else self._gather(
+                len(levels),
+                tuple(j for j, lvl in enumerate(levels) if dep >> lvl & 1),
+            )(vec)
+            for vec, dep in involved
+        ]
         return len(set(zip(*columns))), classes, dependence
-

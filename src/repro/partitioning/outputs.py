@@ -39,7 +39,7 @@ def solo_codewidth(
     f: int,
     input_levels: Sequence[int],
     bound_size: int,
-    kernel: BoundSetKernel | None = None,
+    kernel: BoundSetKernel,
 ) -> int | None:
     """Codewidth of a single output with its *own* best bound set.
 
@@ -49,7 +49,6 @@ def solo_codewidth(
     usable = [lvl for lvl in input_levels if lvl in support]
     if len(usable) <= bound_size:
         return None
-    kernel = kernel if kernel is not None else BoundSetKernel()
     bs, _ = choose_bound_set(bdd, [f], usable, bound_size, kernel=kernel)
     # For a single output the kernel's class total is its local class count.
     return codewidth(kernel.score(bdd, [f], bs)[1])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.bdd.manager import BDD
 from repro.boolfunc.truthtable import TruthTable
+from repro.partitioning import kernel as kernel_module
 from repro.partitioning.kernel import TT_MAX_VARS, BoundSetKernel, tabulable
 from repro.partitioning.variables import choose_bound_set, score_bound_set
 
@@ -282,17 +283,19 @@ class TestKernelDifferential:
         bdd, nodes = build_vector(spec)
         levels = scope(bdd, nodes)
         assume(len(levels) >= 2)
-        kernel = BoundSetKernel(max_entries=max_entries)
-        for bound in range(1, min(4, len(levels))):
-            for scorer in ("compact", "shared"):
-                got = choose_bound_set(
-                    bdd, nodes, levels, bound, strategy="exhaustive",
-                    scorer=scorer, kernel=kernel,
-                )
-                assert len(kernel) <= max_entries
-                assert got == reference_choice(
-                    bdd, nodes, levels, bound, "exhaustive", scorer
-                )
+        kernel = BoundSetKernel()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel_module, "MAX_ENTRIES", max_entries)
+            for bound in range(1, min(4, len(levels))):
+                for scorer in ("compact", "shared"):
+                    got = choose_bound_set(
+                        bdd, nodes, levels, bound, strategy="exhaustive",
+                        scorer=scorer, kernel=kernel,
+                    )
+                    assert len(kernel) <= max_entries
+                    assert got == reference_choice(
+                        bdd, nodes, levels, bound, "exhaustive", scorer
+                    )
 
     def test_wide_output_takes_the_bdd_route(self):
         spec = (3, [([0, 1, 2], 0x96)], (15, [0, 2], 0b0110))
