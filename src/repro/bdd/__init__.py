@@ -13,7 +13,6 @@ reproduction.  It provides:
 - :class:`~repro.bdd.function.Function` -- an operator-overloaded handle that
   pairs a node id with its manager, so client code can write ``f & g | ~h``.
 - :mod:`~repro.bdd.satcount` -- model counting over explicit variable scopes.
-- :mod:`~repro.bdd.reorder` -- sifting-based dynamic variable reordering.
 - :mod:`~repro.bdd.dump` -- Graphviz/dot export for debugging.
 
 All algorithms in :mod:`repro.imodec` operate on this package; no external

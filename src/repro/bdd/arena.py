@@ -1507,13 +1507,6 @@ class ArenaBDD:
     # misc
     # ------------------------------------------------------------------
 
-    def clone_empty(self) -> "ArenaBDD":
-        """Fresh manager of the same backend and cache sizing (no variables)."""
-        return ArenaBDD(
-            self._cache_slots,
-            scalar_budget=self._scalar_budget,
-        )
-
     def build_expr(self, op: str, *operands: int) -> int:
         """Apply a named operator (``and/or/xor/xnor/not/implies``) to operands."""
         ops: dict[str, Callable[..., int]] = {

@@ -35,8 +35,7 @@ overloading; the manager methods remain available for performance-critical
 inner loops (everything in :mod:`repro.imodec` uses them directly).
 
 Variables are identified by *level* (an integer, 0 = topmost in the order)
-and optionally carry a name.  The variable order is the creation order unless
-:func:`repro.bdd.reorder.sift` is applied.
+and optionally carry a name.  The variable order is the creation order.
 """
 
 from __future__ import annotations
@@ -217,15 +216,10 @@ class BDD:
     def mk(self, level: int, low: int, high: int) -> int:
         """Public canonical find-or-create (the transfer/import seam).
 
-        Both backends expose this so :mod:`repro.bdd.transfer` and the
-        reorder rebuilds can materialize nodes without reaching into
-        implementation internals.
+        Both backends expose this so :mod:`repro.bdd.transfer` can
+        materialize nodes without reaching into implementation internals.
         """
         return self._mk(level, low, high)
-
-    def clone_empty(self) -> "BDD":
-        """Fresh manager of the same backend and cache sizing (no variables)."""
-        return BDD(self._cache_limit)
 
     def level(self, u: int) -> int:
         """Level of edge ``u`` (``TERMINAL_LEVEL`` for constants)."""

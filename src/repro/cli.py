@@ -42,10 +42,7 @@ workers are separate subcommands::
 (default, the reference dict-of-nodes manager) or ``arena`` (a flat numpy
 node store with iterative integer kernels; requires numpy, exit code 2
 when missing).  Both backends are canonical-form identical and emit
-byte-identical BLIF; see ``docs/ENGINE.md``.  ``--auto-reorder`` arms
-growth-triggered variable sifting between output groups (serial executor),
-firing when the manager grows past ``--reorder-factor`` times its
-post-build size.
+byte-identical BLIF; see ``docs/ENGINE.md``.
 
 Observability: ``--report FILE`` writes a machine-readable JSON run report
 (per-phase wall-clock, BDD node and cache deltas, IMODEC iteration counts,
@@ -54,13 +51,14 @@ prints the span tree to stderr, and ``--budget-seconds`` /
 ``--budget-nodes`` arm soft budgets that abort a runaway synthesis with
 exit code 3 instead of running unbounded.
 
-Reliability (process executor; see ``docs/RELIABILITY.md``):
+Reliability (every executor; see ``docs/RELIABILITY.md``):
 ``--task-timeout`` and ``--task-retries`` bound and retry failing groups,
 ``--inject-faults PLAN`` arms the deterministic fault harness,
 ``--checkpoint FILE`` persists completed groups and ``--resume FILE``
-replays them for a byte-identical restart.  ``batch`` isolates circuit
-failures: a crashing circuit is reported (exit code 1) while the others
-still map.
+replays them for a byte-identical restart (``--task-timeout`` cannot
+pre-empt a group the serial executor maps in-process).  ``batch``
+isolates circuit failures: a crashing circuit is reported (exit code 1)
+while the others still map.
 """
 
 from __future__ import annotations
@@ -186,15 +184,8 @@ def _make_config(args: argparse.Namespace) -> FlowConfig:
     fault_plan = (
         parse_fault_plan(args.inject_faults) if args.inject_faults else None
     )
-    if fault_plan is not None and args.executor not in ("process", "remote"):
-        raise ValueError("--inject-faults needs --executor process or remote")
     checkpoint = getattr(args, "checkpoint", None)
     resume = getattr(args, "resume", None)
-    if (checkpoint or resume) and args.executor not in ("process", "remote"):
-        raise ValueError(
-            "--checkpoint/--resume need --executor process or remote "
-            "(the serial executor has no group boundary to checkpoint at)"
-        )
     if (checkpoint or resume) and getattr(args, "structural", False):
         raise ValueError("--checkpoint/--resume do not apply to --structural")
     return FlowConfig(
@@ -207,8 +198,6 @@ def _make_config(args: argparse.Namespace) -> FlowConfig:
         executor=args.executor,
         broker=getattr(args, "broker", None),
         bdd_backend=args.bdd_backend,
-        auto_reorder=args.auto_reorder,
-        reorder_factor=args.reorder_factor,
         task_timeout=args.task_timeout,
         task_retries=args.task_retries,
         fault_plan=fault_plan,
@@ -552,12 +541,6 @@ def _add_flow_options(cmd: argparse.ArgumentParser) -> None:
                      help="BDD manager implementation: object (reference) or "
                           "arena (flat numpy node store with iterative "
                           "kernels; same BLIF bytes, faster on large managers)")
-    cmd.add_argument("--auto-reorder", action="store_true",
-                     help="growth-triggered variable sifting between output "
-                          "groups (see --reorder-factor)")
-    cmd.add_argument("--reorder-factor", type=float, default=4.0, metavar="F",
-                     help="auto-reorder trigger: sift when live nodes exceed "
-                          "F times the post-build size (default 4.0)")
     cmd.add_argument("--strict", action="store_true",
                      help="strict (one-code-per-class) decomposition baseline")
     cmd.add_argument("--report", metavar="FILE",
@@ -605,8 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--stats", action="store_true",
                        help="print decomposition statistics (m, p)")
     synth.add_argument("--checkpoint", metavar="FILE",
-                       help="write completed groups to FILE (process executor; "
-                            "resume an interrupted run with --resume FILE)")
+                       help="write completed groups to FILE (resume an "
+                            "interrupted run with --resume FILE)")
     synth.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
                        help="flush the checkpoint every N merged groups "
                             "(default 1)")

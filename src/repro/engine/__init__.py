@@ -19,10 +19,11 @@ explicit:
 - :mod:`repro.engine.emitter` -- expands a vector task into its child
   tasks against a mutable emission context (the LUT network under
   construction).
-- :mod:`repro.engine.executors` -- pluggable drains: ``serial`` replays
-  the historical recursion order bit-identically; ``process`` fans
-  independent vector tasks out to worker processes, each on its own BDD
-  manager, and re-imports the mapped sub-networks.
+- :mod:`repro.engine.executors` -- one submit/collect drain behind
+  pluggable executors: ``serial`` maps every group in the parent,
+  replaying the historical recursion order bit-identically; ``process``
+  fans independent vector tasks out to worker processes, each on its own
+  BDD manager, and re-imports the mapped sub-networks.
 - :mod:`repro.engine.remote` -- the ``remote`` executor: groups fanned
   out across *hosts* through a stdlib HTTP broker (``repro broker`` /
   ``repro worker``), with lease-based dead-host detection feeding the

@@ -1,34 +1,47 @@
 """Pluggable executors that drain the task graph, plus the Engine facade.
 
-Two executors ship:
+Every executor maps each output group on its own and re-imports the
+results *sequentially in group order*; they differ only in where a group
+runs.  :class:`ProcessExecutor` owns the one drain:
 
-- :class:`SerialExecutor` drains each group's task tree depth-first,
-  children in expansion order -- exactly the call order of the historical
-  recursion, so the mapped network (LUT names included) is bit-identical
-  to the pre-engine flow.
-- :class:`ProcessExecutor` fans independent groups out to a process pool.
-  Each worker maps its group with the serial engine on a **private BDD
-  manager** (:func:`repro.engine.worker.run_group`); the parent submits
-  every group first, then collects and re-imports the mapped sub-networks
-  *sequentially in group order*, renaming worker-local signals through the
-  parent network's ``fresh_name`` counter.  Because each worker replays
-  the serial emission order for its group and groups re-import in the
-  serial group order, the resulting network is again identical to the
-  serial one -- only wall-clock differs.
+- :meth:`ProcessExecutor.submit_groups` exports each group as a portable
+  subproblem (:class:`repro.engine.worker.GroupPayload`), replays it from
+  a resume checkpoint or the persistent result cache when it can, and
+  otherwise creates one future per group (one per candidate policy under
+  a ``race:`` policy) through the ``_pool_submit`` seam.
+- :meth:`ProcessExecutor.collect_groups` waits for each future in order
+  with one retry ladder, merges the mapped sub-network into the parent
+  network (renaming worker-local signals through its ``fresh_name``
+  counter), checkpoints it and feeds the result cache.
 
-The process executor is **fault-tolerant** (see ``docs/RELIABILITY.md``):
-a failed group submission -- worker crash, exceeded
-``FlowConfig.task_timeout``, or any exception crossing the pool -- is
-retried up to ``FlowConfig.task_retries`` times with exponential backoff,
-rebuilding the pool after a crash; a group that keeps failing degrades to
-the in-parent serial path, which still yields the identical network
-because emission order is preserved.  Every failure is recorded as a
-structured record via :func:`repro.observe.failure` and counted in
-:class:`repro.engine.tasks.EngineStats`.  With
-``FlowConfig.checkpoint_path`` set, merged group results are also
-serialized to a versioned checkpoint file
-(:mod:`repro.engine.checkpoint`) so an interrupted run can resume with
-``FlowConfig.resume_from`` and produce byte-identical output.
+Three executors sit behind the seam:
+
+- ``process`` submits to a process pool.  Each worker maps its group on
+  a **private BDD manager** (:func:`repro.engine.worker.run_group`),
+  replaying the serial emission order, so the merged network is
+  identical to a serial run -- only wall-clock differs.
+- ``serial`` (:class:`SerialExecutor`) returns an in-process future that
+  runs ``run_group`` in the parent when the collect loop first asks for
+  it.  A serial run that keeps no portable results (no result cache,
+  race, checkpoint, resume file or fault plan) skips the export and
+  merge: it drains every group directly on the engine's own context with
+  :func:`drain_groups` -- the drain ``run_group`` performs -- so the BDD
+  statistics and budgets see the decomposition.
+- ``remote`` (:class:`repro.engine.remote.executor.RemoteExecutor`)
+  submits to a task broker.
+
+The drain is **fault-tolerant** (see ``docs/RELIABILITY.md``): a failed
+group submission -- worker crash, exceeded ``FlowConfig.task_timeout``,
+or any exception crossing the future -- is retried up to
+``FlowConfig.task_retries`` times with exponential backoff, rebuilding the
+pool after a crash; a group that keeps failing degrades to the in-parent
+drain, which still yields the identical network because emission order
+is preserved.  Every failure is recorded as a structured record via
+:func:`repro.observe.failure` and counted in
+:class:`repro.engine.tasks.EngineStats`.  With ``FlowConfig.checkpoint_path``
+set, merged group results are also serialized to a versioned checkpoint
+file (:mod:`repro.engine.checkpoint`) so an interrupted run can resume
+with ``FlowConfig.resume_from`` and produce byte-identical output.
 
 The :class:`Engine` facade bundles context + policy + graph + executor
 behind the two calls the flows need: ``run_groups`` and ``stats``.
@@ -40,7 +53,11 @@ import signal
 import sys
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    CancelledError,
+    ProcessPoolExecutor,
+)
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import TYPE_CHECKING, Protocol
@@ -61,7 +78,12 @@ from repro.engine.faults import NO_FAULTS, ResolvedFaults, perform_fault
 from repro.engine.policies import make_policy, parse_policy_spec
 from repro.engine.tasks import EngineStats, TaskGraph
 from repro.engine.worker import GroupPayload, GroupResult, run_group
-from repro.errors import FaultInjected, GroupFailedError, RunInterrupted
+from repro.errors import (
+    BudgetExceeded,
+    FaultInjected,
+    GroupFailedError,
+    RunInterrupted,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (flow imports engine)
     from repro.mapping.flow import FlowConfig
@@ -115,198 +137,43 @@ class Executor(Protocol):
         ...
 
 
-class SerialExecutor:
-    """Depth-first drain replaying the historical recursion order."""
+def drain_groups(
+    emitter: VectorEmitter, graph: TaskGraph, groups: list[list[int]]
+) -> list[list[str]]:
+    """Drain each group's task tree on ``emitter``'s context, in order.
 
-    name = "serial"
-    workers = 1
+    The one in-parent drain: :func:`repro.engine.worker.run_group` runs it
+    on a worker's private manager, :class:`SerialExecutor` on the engine's
+    own context, and a degraded group at its merge position.
+    """
+    results: list[list[str]] = []
+    for gi, f_nodes in enumerate(groups):
+        cache: dict[int, str] = {}
+        sink: list = [None] * len(f_nodes)
+        root = emitter.vector_task(
+            f_nodes, cache, sink, list(range(len(f_nodes))),
+            label=f"group{gi}",
+        )
+        _drain(graph, [root])
+        results.append(list(sink))
+    return results
 
-    def run_groups(
-        self, engine: "Engine", groups: list[list[int]]
-    ) -> list[list[str]]:
-        """Drain every group in order on the engine's own context.
 
-        With ``config.cache_db`` each group is first looked up in the
-        persistent result cache; misses run through the in-process worker
-        path so their portable result can be recorded (see
-        :meth:`_drain_with_cache`).  With ``config.auto_reorder`` the
-        manager's growth is checked at every group boundary and a growth
-        past ``config.reorder_factor`` times the post-build size triggers
-        a sifting pass over the pending roots (see
-        :func:`repro.bdd.reorder.sift_groups`).
-        """
-        if engine.racing:
-            return self._drain_with_race(engine, groups)
-        if engine.group_cache is not None:
-            return self._drain_with_cache(engine, groups)
-        if not engine.config.auto_reorder:
-            return self.drain_groups(engine.emitter, engine.graph, groups)
-        return self._drain_with_reorder(engine, groups)
-
-    def _drain_with_race(
-        self, engine: "Engine", groups: list[list[int]]
-    ) -> list[list[str]]:
-        """Group-at-a-time drain racing the policy portfolio per group.
-
-        Every candidate policy maps the group through the in-process
-        worker path (:func:`repro.engine.worker.run_group`), the winner
-        is the cheapest result under the engine's technology target with
-        spec order as the deterministic tie-break, and only the winner
-        merges -- byte-identical to the process executor's race (both
-        pick the same winner from the same deterministic candidates).  A
-        configured result cache is consulted first and fed the winner
-        (with its policy provenance) on a miss.
-        """
-        cache = engine.group_cache
-        results: list[list[str]] = []
-        for f_nodes in groups:
-            engine.graph.note_queue_depth(len(groups) - len(results))
-            form = None
-            if cache is not None:
-                with observe.span("cache-lookup"):
-                    hit, form = cache.lookup(engine.context, f_nodes)
-                if hit is not None:
-                    results.append(merge_group_result(engine, hit))
-                    continue
-            payload = self._cache_payload(engine, f_nodes)
-            winner, result = run_race_serial(engine, payload)
-            signals = merge_group_result(engine, result)
-            if cache is not None and form is not None:
-                with observe.span("cache-record"):
-                    cache.record(
-                        engine.context, form, f_nodes, result,
-                        policy=winner,
-                    )
-            results.append(signals)
-        return results
-
-    def _drain_with_cache(
-        self, engine: "Engine", groups: list[list[int]]
-    ) -> list[list[str]]:
-        """Group-at-a-time drain consulting the persistent result cache.
-
-        A verified hit merges like a worker result.  A miss runs the
-        group through :func:`repro.engine.worker.run_group` *in process*
-        -- the same portable path the process executor uses, which PR 3's
-        equivalence guarantee makes byte-identical to the plain serial
-        drain -- so the result exists in storable form and is recorded
-        after the merge.
-        """
-        cache = engine.group_cache
-        results: list[list[str]] = []
-        for f_nodes in groups:
-            engine.graph.note_queue_depth(len(groups) - len(results))
-            with observe.span("cache-lookup"):
-                hit, form = cache.lookup(engine.context, f_nodes)
-            if hit is not None:
-                signals = merge_group_result(engine, hit)
-            else:
-                result = run_group(self._cache_payload(engine, f_nodes))
-                signals = merge_group_result(engine, result)
-                with observe.span("cache-record"):
-                    cache.record(engine.context, form, f_nodes, result)
-            results.append(signals)
-        return results
-
-    @staticmethod
-    def _cache_payload(engine: "Engine", f_nodes: list[int]) -> GroupPayload:
-        """Export one group for the in-process worker path (cache drain)."""
-        return ProcessExecutor._payload(engine.context, f_nodes)
-
-    def _drain_with_reorder(
-        self, engine: "Engine", groups: list[list[int]]
-    ) -> list[list[str]]:
-        """Group-at-a-time drain with the growth-triggered reorder hook."""
-        from repro.bdd.reorder import GrowthTrigger
-
-        ctx = engine.context
-        trigger = GrowthTrigger(engine.config.reorder_factor)
-        trigger.arm(ctx.bdd.num_nodes)
-        remaining = [list(g) for g in groups]
-        results: list[list[str]] = []
-        for gi in range(len(remaining)):
-            if gi and trigger.should_fire(ctx.bdd.num_nodes):
-                self._reorder_pending(engine, remaining, gi)
-                trigger.arm(ctx.bdd.num_nodes)
-            (signals,) = self.drain_groups(
-                engine.emitter, engine.graph, [remaining[gi]], first_index=gi
+def _drain(graph: TaskGraph, roots: list) -> None:
+    # Children are pushed in reverse so they pop in expansion order: a
+    # task's whole subtree completes before its next sibling runs, which
+    # is the depth-first order of the recursion it replaces.
+    stack = list(reversed(roots))
+    while stack:
+        if cancel_requested():
+            raise RunInterrupted(
+                "serial drain cancelled (signal or server drain)"
             )
-            results.append(signals)
-        return results
-
-    @staticmethod
-    def _reorder_pending(
-        engine: "Engine", remaining: list[list[int]], gi: int
-    ) -> None:
-        """Sift the pending groups' roots and swap the reordered manager in.
-
-        The emit context's manager reference, the pending root lists and the
-        level-to-signal map are all rewritten consistently; already-emitted
-        groups live only in the LUT network, so dropping their old manager
-        is safe.  A no-improvement sift keeps the current manager.
-        """
-        from repro.bdd.reorder import sift_groups
-
-        ctx = engine.context
-        with observe.span("reorder"):
-            observe.add("reorder_triggers")
-            observe.gauge("reorder_nodes_before", ctx.bdd.num_nodes)
-            sifted = sift_groups(ctx.bdd, remaining[gi:], max_passes=1)
-            if sifted is None:
-                observe.add("reorder_noops")
-                return
-            new_bdd, new_groups, level_map = sifted
-            remaining[gi:] = new_groups
-            remapped = {
-                level_map[lvl]: sig for lvl, sig in ctx.signal_of_level.items()
-            }
-            ctx.signal_of_level.clear()
-            ctx.signal_of_level.update(remapped)
-            ctx.bdd = new_bdd
-            observe.watch(new_bdd)
-            observe.gauge("reorder_nodes_after", new_bdd.num_nodes)
-
-    def drain_groups(
-        self,
-        emitter: VectorEmitter,
-        graph: TaskGraph,
-        groups: list[list[int]],
-        first_index: int = 0,
-    ) -> list[list[str]]:
-        """Static entry point shared with worker processes (no Engine).
-
-        ``first_index`` offsets the ``group<N>`` task labels so a
-        group-at-a-time caller (the auto-reorder drain) keeps the same
-        labels as one whole-list call.
-        """
-        results: list[list[str]] = []
-        for gi, f_nodes in enumerate(groups, first_index):
-            cache: dict[int, str] = {}
-            sink: list = [None] * len(f_nodes)
-            root = emitter.vector_task(
-                f_nodes, cache, sink, list(range(len(f_nodes))),
-                label=f"group{gi}",
-            )
-            self._drain(graph, [root])
-            results.append(list(sink))
-        return results
-
-    @staticmethod
-    def _drain(graph: TaskGraph, roots: list) -> None:
-        # Children are pushed in reverse so they pop in expansion order:
-        # a task's whole subtree completes before its next sibling runs,
-        # which is the depth-first order of the recursion it replaces.
-        stack = list(reversed(roots))
-        while stack:
-            if cancel_requested():
-                raise RunInterrupted(
-                    "serial drain cancelled (signal or server drain)"
-                )
-            graph.note_queue_depth(len(stack))
-            task = stack.pop()
-            with observe.span(task.kind):
-                children = graph.execute(task)
-            stack.extend(reversed(children))
+        graph.note_queue_depth(len(stack))
+        task = stack.pop()
+        with observe.span(task.kind):
+            children = graph.execute(task)
+        stack.extend(reversed(children))
 
 
 def candidate_payload(payload: GroupPayload, policy: str) -> GroupPayload:
@@ -319,48 +186,6 @@ def candidate_payload(payload: GroupPayload, policy: str) -> GroupPayload:
     return dc_replace(
         payload, config=dc_replace(payload.config, policy=policy)
     )
-
-
-def run_race_serial(
-    engine: "Engine", payload: GroupPayload
-) -> tuple[str, GroupResult]:
-    """Race the policy portfolio over one group, in process, in spec order.
-
-    Every candidate runs to completion (best-cost semantics need every
-    cost); a candidate that dies is excluded (``race_failures``) as long
-    as at least one survives -- when all die, the last error propagates.
-    Returns ``(winner_policy, winner_result)`` where the winner minimizes
-    ``(target.group_cost(nodes), spec_index)``.
-    """
-    engine.race_counts["race_groups"] += 1
-    outcomes: list[tuple[tuple, int, str, GroupResult]] = []
-    last_error: Exception | None = None
-    for index, policy in enumerate(engine.race_policies):
-        if cancel_requested():
-            raise RunInterrupted(
-                "serial race cancelled (signal or server drain)"
-            )
-        engine.race_counts["race_candidates"] += 1
-        try:
-            with observe.span("race-candidate"):
-                result = run_group(candidate_payload(payload, policy))
-        except RunInterrupted:
-            raise
-        except Exception as exc:  # noqa: BLE001 - candidate is expendable
-            engine.race_counts["race_failures"] += 1
-            observe.failure(
-                kind="race-candidate", policy=policy,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            last_error = exc
-            continue
-        cost = engine.context.target.group_cost(result.nodes)
-        outcomes.append((cost, index, policy, result))
-    if not outcomes:
-        raise last_error  # type: ignore[misc] - at least one candidate ran
-    _, _, winner, result = min(outcomes, key=lambda o: (o[0], o[1]))
-    engine.note_race_winner(winner)
-    return winner, result
 
 
 @dataclass
@@ -431,6 +256,9 @@ class ProcessExecutor:
     """Fan independent groups out to worker processes, re-import in order."""
 
     name = "process"
+    #: Whether submitted groups run outside this process (their task
+    #: counts then fold in as ``tasks_offloaded``).
+    offloads = True
 
     def __init__(self, jobs: int) -> None:
         """Use up to ``jobs`` worker processes; reliability counters start at zero."""
@@ -457,14 +285,14 @@ class ProcessExecutor:
     def run_groups(
         self, engine: "Engine", groups: list[list[int]]
     ) -> list[list[str]]:
-        """Map every group, with retries, degradation and checkpointing."""
+        """Map every group, with retries, degradation and checkpointing.
+
+        A run that needs no portable results drains directly on the
+        engine's context instead (see :meth:`_portable`).
+        """
+        if not self._portable(engine, groups):
+            return drain_groups(engine.emitter, engine.graph, groups)
         config = engine.config
-        if len(groups) <= 1:
-            # Nothing to overlap; skip the pickling round-trip.  (Fault
-            # injection and checkpointing only apply to pooled groups, but
-            # an incompatible --resume file must still be rejected.)
-            self._load_resume(config)
-            return SerialExecutor().run_groups(engine, groups)
         faults = self._resolve_faults(config, len(groups))
         resume = self._load_resume(config)
         ckpt = self._make_checkpointer(config)
@@ -475,6 +303,23 @@ class ProcessExecutor:
             )
         with observe.span("engine-collect"):
             return self.collect_groups(engine, subs, faults=faults, ckpt=ckpt)
+
+    def _portable(self, engine: "Engine", groups: list[list[int]]) -> bool:
+        """Whether the groups go through submit/collect as portable results.
+
+        Offloading pays only with more than one group to overlap; a
+        result cache, a ``race:`` policy, a checkpoint or resume file and
+        a fault plan all work on portable results, whatever the count.
+        """
+        config = engine.config
+        return (
+            (self.offloads and len(groups) > 1)
+            or engine.racing
+            or engine.group_cache is not None
+            or config.checkpoint_path is not None
+            or config.resume_from is not None
+            or config.fault_plan is not None
+        )
 
     @staticmethod
     def _resolve_faults(config: "FlowConfig", num_groups: int) -> ResolvedFaults:
@@ -602,9 +447,9 @@ class ProcessExecutor:
     ) -> list[list[str]]:
         """Re-import group results sequentially, in submission order.
 
-        Failed submissions are retried (see :meth:`_await_result`);
-        merged results are checkpointed; parent-side ``abort`` faults
-        fire after the checkpoint flush so resume paths are testable.
+        Failed submissions are retried (see :meth:`_await`); merged
+        results are checkpointed; parent-side ``abort`` faults fire after
+        the checkpoint flush so resume paths are testable.
         """
         results: list[list[str]] = []
         try:
@@ -623,9 +468,12 @@ class ProcessExecutor:
                 elif sub.entries is not None:
                     result = self._await_race(engine, sub)
                 else:
-                    result = self._await_result(engine, sub, faults)
+                    result = self._await(engine, sub, faults=faults)
                 if result is not None:
-                    signals = merge_group_result(engine, result)
+                    signals = merge_group_result(
+                        engine, result,
+                        offloaded=self.offloads and sub.cached is None,
+                    )
                     if ckpt is not None and sub.fingerprint is not None:
                         ckpt.record(sub.ordinal, sub.fingerprint, result)
                         self._counts["checkpoint_saved"] += 1
@@ -687,16 +535,15 @@ class ProcessExecutor:
         Candidates are awaited in spec order and every survivor's cost is
         taken (best-cost semantics need all of them), so the winner --
         ``min`` by ``(target.group_cost(nodes), spec_index)`` -- is
-        timing-independent and matches the serial race exactly.  A
+        timing-independent and the same under every executor.  A
         candidate that fails permanently is excluded (``race_failures``);
         when every candidate dies the group degrades to the in-parent
-        serial path exactly like an unraced group.  Any future still
-        pending once the winner is decided is revoked
-        (``race_losers_cancelled``).
+        drain exactly like an unraced group.  Any future still pending
+        once the winner is decided is revoked (``race_losers_cancelled``).
         """
         outcomes: list[tuple[tuple, int, str, GroupResult]] = []
         for entry in sub.entries:
-            result = self._await_candidate(engine, sub, entry)
+            result = self._await(engine, sub, entry=entry)
             if result is None:
                 continue
             cost = engine.context.target.group_cost(result.nodes)
@@ -711,84 +558,37 @@ class ProcessExecutor:
         engine.note_race_winner(winner)
         return result
 
-    def _await_candidate(
-        self, engine: "Engine", sub: Submission, entry: RaceEntry
-    ) -> GroupResult | None:
-        """Wait for one race candidate, retrying failures with backoff.
-
-        Mirrors :meth:`_await_result`, but a candidate that exhausts its
-        retry budget returns None (excluded from the race) instead of
-        degrading -- the race survives as long as one candidate does.
-        Failure records carry the candidate's policy name.
-        """
-        config = engine.config
-        while True:
-            started = time.perf_counter()
-            try:
-                return self._wait_interruptible(
-                    entry.future, config.task_timeout
-                )
-            except RunInterrupted:
-                raise  # drain teardown, not a candidate failure
-            except FutureTimeoutError:
-                kind = "timeout"
-                error = f"group exceeded task_timeout={config.task_timeout:g}s"
-                self._counts["task_timeouts"] += 1
-            except BrokenExecutor as exc:
-                kind = "worker-crash"
-                error = str(exc) or type(exc).__name__
-                self._counts["worker_crashes"] += 1
-                _reset_pool()
-            except Exception as exc:  # noqa: BLE001 - candidate is expendable
-                kind = "error"
-                error = f"{type(exc).__name__}: {exc}"
-            record = {
-                "kind": kind,
-                "group": sub.ordinal,
-                "policy": entry.policy,
-                "attempt": entry.attempt,
-                "error": error,
-                "seconds": round(time.perf_counter() - started, 6),
-            }
-            sub.failures.append(record)
-            observe.failure(**record)
-            entry.attempt += 1
-            if entry.attempt > config.task_retries:
-                engine.race_counts["race_failures"] += 1
-                return None
-            self._counts["tasks_retried"] += 1
-            observe.add("tasks_retried")
-            time.sleep(
-                min(
-                    config.retry_backoff * (2 ** (entry.attempt - 1)),
-                    MAX_BACKOFF_SECONDS,
-                )
-            )
-            entry.future = self._pool_submit(entry.payload)
-
     # ------------------------------------------------------------------
     # failure handling
     # ------------------------------------------------------------------
 
-    def _await_result(
-        self, engine: "Engine", sub: Submission, faults: ResolvedFaults
+    def _await(
+        self,
+        engine: "Engine",
+        sub: Submission,
+        entry: RaceEntry | None = None,
+        faults: ResolvedFaults = NO_FAULTS,
     ) -> GroupResult | None:
-        """Wait for one submission, retrying failures with backoff.
+        """Wait for one submission, or one race candidate ``entry`` of it,
+        retrying failures with backoff.
 
-        Returns the worker's result, or None when the group was degraded
-        to the in-parent serial path (its signals are then already bound
-        on ``sub.degraded_signals``).  Raises :class:`GroupFailedError`
-        when the group fails permanently.
+        Returns the result, or None once the retry budget is spent: a
+        plain group then degrades to the in-parent drain (its signals are
+        bound on ``sub.degraded_signals``; :class:`GroupFailedError` when
+        that is off or fails too), and a candidate drops out of its race
+        (``race_failures``).  A candidate's failure records carry its
+        policy name.
         """
         config = engine.config
+        task = entry or sub
         while True:
             started = time.perf_counter()
             try:
                 return self._wait_interruptible(
-                    sub.future, config.task_timeout
+                    task.future, config.task_timeout
                 )
-            except RunInterrupted:
-                # Not a task failure: the whole drain is being torn down
+            except (RunInterrupted, BudgetExceeded):
+                # Not a task failure: the whole run is being torn down
                 # (collect_groups cancels the other futures and flushes
                 # the checkpoint on the way out).
                 raise
@@ -807,19 +607,24 @@ class ProcessExecutor:
             except Exception as exc:  # noqa: BLE001 - any worker failure
                 kind = "error"
                 error = f"{type(exc).__name__}: {exc}"
-            self._note_failure(sub, kind, error, started)
-            sub.attempt += 1
-            if sub.attempt > config.task_retries:
-                return self._degrade(engine, sub, faults)
+            self._note_failure(sub, kind, error, started, entry)
+            task.attempt += 1
+            if task.attempt > config.task_retries:
+                if entry is None:
+                    return self._degrade(engine, sub, faults)
+                engine.race_counts["race_failures"] += 1
+                return None
             self._counts["tasks_retried"] += 1
             observe.add("tasks_retried")
             time.sleep(
                 min(
-                    config.retry_backoff * (2 ** (sub.attempt - 1)),
+                    config.retry_backoff * (2 ** (task.attempt - 1)),
                     MAX_BACKOFF_SECONDS,
                 )
             )
-            sub.future = self._pool_submit(self._armed(sub, faults))
+            task.future = self._pool_submit(
+                self._armed(sub, faults) if entry is None else entry.payload
+            )
 
     @staticmethod
     def _wait_interruptible(future, timeout: float | None):
@@ -859,28 +664,34 @@ class ProcessExecutor:
         return dc_replace(sub.payload, fault=fault)
 
     def _note_failure(
-        self, sub: Submission, kind: str, error: str, started: float
+        self,
+        sub: Submission,
+        kind: str,
+        error: str,
+        started: float,
+        entry: RaceEntry | None = None,
     ) -> None:
         """Record one failed attempt (structured, for the run report)."""
-        record = {
-            "kind": kind,
-            "group": sub.ordinal,
-            "attempt": sub.attempt,
-            "error": error,
-            "seconds": round(time.perf_counter() - started, 6),
-        }
+        record: dict = {"kind": kind, "group": sub.ordinal}
+        if entry is not None:
+            record["policy"] = entry.policy
+        record.update(
+            attempt=(entry or sub).attempt,
+            error=error,
+            seconds=round(time.perf_counter() - started, 6),
+        )
         sub.failures.append(record)
         observe.failure(**record)
 
     def _degrade(
         self, engine: "Engine", sub: Submission, faults: ResolvedFaults
     ) -> None:
-        """Run a repeatedly-failing group in-parent on the serial path.
+        """Run a repeatedly-failing group in-parent with :func:`drain_groups`.
 
         Emission order is unchanged (the group runs at its merge
         position), so the final network stays identical to a fault-free
         run.  Raises :class:`GroupFailedError` when degradation is
-        disabled or the serial path fails too.
+        disabled or the in-parent drain fails too.
         """
         config = engine.config
         if not config.degrade_to_serial:
@@ -893,11 +704,11 @@ class ProcessExecutor:
             if fault is not None:
                 self._counts["faults_injected"] += 1
                 perform_fault(fault, in_worker=False)
-            (signals,) = SerialExecutor().drain_groups(
+            (signals,) = drain_groups(
                 engine.emitter, engine.graph, [sub.f_nodes]
             )
-        except RunInterrupted:
-            raise  # drain teardown, not a group failure
+        except (RunInterrupted, BudgetExceeded):
+            raise  # run teardown, not a group failure
         except Exception as exc:
             self._note_failure(
                 sub, "degraded", f"{type(exc).__name__}: {exc}", started
@@ -919,13 +730,81 @@ class ProcessExecutor:
         )
 
 
-def merge_group_result(engine: "Engine", result: GroupResult) -> list[str]:
+class _InProcessFuture:
+    """One group mapped in the parent when the drain first asks for it.
+
+    Speaks the ``concurrent.futures.Future`` subset the drain uses.  A
+    planned fault fires as :meth:`ProcessExecutor._degrade` fires it, so
+    ``kill`` raises :class:`FaultInjected` instead of exiting the
+    coordinator.  ``timeout`` cannot pre-empt a group running in the
+    parent: the call returns only once the group is mapped.
+    """
+
+    def __init__(self, payload: GroupPayload) -> None:
+        """Hold ``payload`` until the drain reads the result."""
+        self._payload = payload
+        self._outcome: tuple | None = None  # (result, error) once settled
+
+    def result(self, timeout: float | None = None) -> GroupResult:
+        """Map the group on first call; return or re-raise its outcome."""
+        if self._outcome is None:
+            try:
+                perform_fault(self._payload.fault, in_worker=False)
+                result = run_group(dc_replace(self._payload, fault=None))
+                self._outcome = (result, None)
+            except Exception as exc:  # noqa: BLE001 - stored like a pool future
+                self._outcome = (None, exc)
+        result, error = self._outcome
+        if error is not None:
+            raise error
+        return result
+
+    def cancel(self) -> bool:
+        """Revoke the group; True only if it has not run yet."""
+        if self._outcome is not None:
+            return False
+        self._outcome = (None, CancelledError())
+        return True
+
+
+class SerialExecutor(ProcessExecutor):
+    """The process executor's drain with every group mapped in the parent.
+
+    A run that keeps portable results (a result cache, a ``race:`` policy,
+    a checkpoint or resume file, or a fault plan) goes through the
+    inherited :meth:`submit_groups`/:meth:`collect_groups`, so it gets
+    retries, checkpoint/resume and fault injection from the shared code;
+    each group runs when the collect loop reaches it
+    (:class:`_InProcessFuture`), so a checkpoint is flushed group by
+    group.  Every other run drains each group directly on the engine's
+    own context with :func:`drain_groups` -- the drain ``run_group``
+    performs, without the export and merge around it -- replaying the
+    historical recursion order, so the mapped network (LUT names
+    included) is bit-identical to the pre-engine flow.
+    """
+
+    name = "serial"
+    offloads = False
+
+    def __init__(self) -> None:
+        """One worker: the coordinator itself."""
+        super().__init__(jobs=1)
+
+    def _pool_submit(self, payload: GroupPayload) -> _InProcessFuture:
+        """A lazy in-process future in place of a pool submission."""
+        return _InProcessFuture(payload)
+
+
+def merge_group_result(
+    engine: "Engine", result: GroupResult, offloaded: bool
+) -> list[str]:
     """Re-import one worker's mapped sub-network into the parent.
 
     Worker-local node names are renamed through the parent network's
     ``fresh_name`` counter in emission order, so the final names match a
     serial run; constants dedup through the shared constant cache.
-    Worker task counts fold into the parent graph as offloaded work.
+    Worker task counts fold into the parent graph, as offloaded work when
+    ``offloaded`` (the group ran in a pool or remote worker).
     """
     ctx = engine.context
     rename: dict[str, str] = {}
@@ -944,7 +823,7 @@ def merge_group_result(engine: "Engine", result: GroupResult) -> list[str]:
         rename[spec.name] = name
         observe.add("shannon_splits" if prefix == "M" else "luts_emitted")
     ctx.records.extend(result.records)
-    engine.graph.merge_counts(result.kind_counts, offloaded=True)
+    engine.graph.merge_counts(result.kind_counts, offloaded=offloaded)
     return [rename.get(sig, sig) for sig in result.outputs]
 
 

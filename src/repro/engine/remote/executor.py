@@ -184,12 +184,12 @@ class RemoteExecutor(ProcessExecutor):
     ) -> list[list[str]]:
         """Check broker reachability, then run the inherited drain.
 
-        A single group short-circuits to the serial path in the base
-        class (nothing to overlap -- the broker is not even contacted);
-        an unreachable broker with real fan-out ahead fails fast here
-        rather than timing out once per group.
+        A run the base class drains directly (one group, no portable
+        results) never contacts the broker; an unreachable broker with
+        real fan-out ahead fails fast here rather than timing out once
+        per group.
         """
-        if len(groups) > 1 and not self.client.wait_ready(
+        if self._portable(engine, groups) and not self.client.wait_ready(
             CONNECT_WAIT_SECONDS
         ):
             raise BrokerUnavailable(

@@ -76,10 +76,14 @@ class GroupResult:
 
 
 def run_group(payload: GroupPayload) -> GroupResult:
-    """Map one group on a private manager; the process-pool entry point."""
+    """Map one group on a private manager.
+
+    The entry point of every portable group run: pool and remote workers
+    call it, and so does the serial executor's in-process future.
+    """
     from repro.bdd.backend import make_manager
     from repro.engine.emitter import EmitContext, VectorEmitter
-    from repro.engine.executors import SerialExecutor
+    from repro.engine.executors import drain_groups
     from repro.engine.policies import make_policy
     from repro.engine.tasks import TaskGraph
     from repro.network.network import Network
@@ -108,7 +112,7 @@ def run_group(payload: GroupPayload) -> GroupResult:
     context = EmitContext(bdd, config, lut, signal_of_level)
     graph = TaskGraph()
     emitter = VectorEmitter(context, make_policy(config), graph)
-    (signals,) = SerialExecutor().drain_groups(emitter, graph, [roots])
+    (signals,) = drain_groups(emitter, graph, [roots])
 
     nodes: list[NodeSpec] = []
     for name, node in lut.nodes.items():

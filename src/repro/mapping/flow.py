@@ -70,10 +70,8 @@ class FlowConfig:
     ladder_cap: int = 12  # hard ceiling of the bound-size ladder
     peel_rounds: int = 3  # lone-output peel rounds per vector
     bdd_backend: Literal["object", "arena"] = DEFAULT_BACKEND
-    auto_reorder: bool = False  # growth-triggered sifting between groups
-    reorder_factor: float = 4.0  # trigger: nodes >= factor * post-build size
 
-    # -- reliability (process executor; see docs/RELIABILITY.md) --------
+    # -- reliability (every executor; see docs/RELIABILITY.md) ----------
     task_timeout: float | None = None  # per-group wall-clock ceiling (s)
     task_retries: int = 2  # retries per group after the first failure
     retry_backoff: float = 0.05  # base of the exponential retry backoff (s)
@@ -109,19 +107,12 @@ class FlowConfig:
                 raise ValueError(
                     f"unknown policy {candidate!r} (have: {sorted(POLICIES)})"
                 )
-        if len(candidates) > 1:
-            if self.auto_reorder:
-                raise ValueError(
-                    "a race: policy needs auto_reorder off (candidates run "
-                    "through the worker path, which has no group-boundary "
-                    "reorder hook)"
-                )
-            if self.fault_plan is not None:
-                raise ValueError(
-                    "a race: policy cannot be combined with fault injection "
-                    "(fault plans are keyed by group ordinal; racing "
-                    "multiplies the submissions per group)"
-                )
+        if len(candidates) > 1 and self.fault_plan is not None:
+            raise ValueError(
+                "a race: policy cannot be combined with fault injection "
+                "(fault plans are keyed by group ordinal; racing "
+                "multiplies the submissions per group)"
+            )
         if self.ladder_cap < self.k:
             raise ValueError("ladder_cap below k leaves no ladder at all")
         if self.peel_rounds < 0:
@@ -130,13 +121,6 @@ class FlowConfig:
             raise ValueError(
                 f"unknown bdd backend {self.bdd_backend!r} "
                 f"(have: {list(BACKEND_NAMES)})"
-            )
-        if self.reorder_factor <= 1.0:
-            raise ValueError("reorder_factor must be > 1.0")
-        if self.auto_reorder and self.executor != "serial":
-            raise ValueError(
-                "auto_reorder needs the serial executor (workers map groups "
-                "on private managers with no shared growth to watch)"
             )
         if self.executor == "remote" and self.broker is None:
             raise ValueError(
@@ -155,12 +139,6 @@ class FlowConfig:
             raise ValueError("retry_backoff must be >= 0")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.cache_db is not None and self.auto_reorder:
-            raise ValueError(
-                "cache_db cannot be combined with auto_reorder (the cached "
-                "drain replays groups through the worker path, which has no "
-                "group-boundary reorder hook)"
-            )
 
 
 @dataclass

@@ -44,8 +44,7 @@ The memo:
   ``partition_outputs`` call, one per decomposition policy instance); it
   is never process-global, so two runs in one process do the same work.
 - Node ids mean something only inside their manager, so a kernel serves
-  one manager at a time: handing it another manager (e.g. after
-  ``--auto-reorder`` swapped in a sifted one) empties it first.
+  one manager at a time: handing it another manager empties it first.
 - It holds at most :data:`MAX_ENTRIES` entries; past that the oldest half
   of every table is dropped, as the BDD operation cache does.
 """

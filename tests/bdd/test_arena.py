@@ -15,7 +15,6 @@ from repro.bdd.backend import (
     make_manager,
 )
 from repro.bdd.manager import BDD, FALSE, TRUE
-from repro.bdd.reorder import GrowthTrigger, sift_groups
 from repro.bdd.transfer import export_dag, import_dag
 from repro.boolfunc.truthtable import TruthTable
 
@@ -149,14 +148,6 @@ class TestBackendSeam:
         with pytest.raises(BackendUnavailable, match="numpy"):
             make_manager("arena")
 
-    def test_clone_empty_preserves_backend(self):
-        for name in BACKEND_NAMES:
-            src = make_manager(name)
-            src.add_var("a")
-            clone = src.clone_empty()
-            assert backend_of(clone) == name
-            assert clone.num_vars == 0
-
 
 class TestCrossBackendTransfer:
     def _random_roots(self, bdd, rng, n=3):
@@ -180,46 +171,3 @@ class TestCrossBackendTransfer:
             assert (src.to_truth_bits(r_src, list(range(6)))
                     == dst.to_truth_bits(r_dst, list(range(6))))
             assert src.size(r_src) == dst.size(r_dst)
-
-
-class TestGrowthTrigger:
-    def test_unarmed_never_fires(self):
-        assert not GrowthTrigger(2.0).should_fire(10**9)
-
-    def test_fires_past_factor(self):
-        trigger = GrowthTrigger(2.0)
-        trigger.arm(100)
-        assert not trigger.should_fire(199)
-        assert trigger.should_fire(200)
-
-    def test_factor_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            GrowthTrigger(1.0)
-
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_sift_groups_remaps_consistently(self, name):
-        # Interleaved AND-pairs: identity order is quadratic, the sifted
-        # order linear -- so sift_groups must actually swap managers.
-        bdd = make_manager(name)
-        for i in range(6):
-            bdd.add_var(f"x{i}")
-        f = bdd.apply_or(
-            bdd.apply_or(
-                bdd.apply_and(bdd.var(0), bdd.var(3)),
-                bdd.apply_and(bdd.var(1), bdd.var(4)),
-            ),
-            bdd.apply_and(bdd.var(2), bdd.var(5)),
-        )
-        g = bdd.apply_not(f)
-        sifted = sift_groups(bdd, [[f], [g]])
-        assert sifted is not None
-        new_bdd, new_groups, level_map = sifted
-        assert backend_of(new_bdd) == name
-        assert sorted(level_map) == list(range(6))
-        (nf,), (ng,) = new_groups
-        assert new_bdd.size(nf) < bdd.size(f)
-        # Semantics are preserved under the level remap.
-        old_bits = bdd.to_truth_bits(f, list(range(6)))
-        new_levels = [level_map[l] for l in range(6)]
-        assert new_bdd.to_truth_bits(nf, new_levels) == old_bits
-        assert new_bdd.apply_not(nf) == ng

@@ -224,8 +224,3 @@ class TestWinnerProvenance:
             assert payload["policy"] in POLICIES  # the winner, not "race:..."
             assert payload["target"] == "xc3000-clb"
 
-
-class TestConfigGuards:
-    def test_cache_db_conflicts_with_auto_reorder(self, tmp_path):
-        with pytest.raises(ValueError, match="auto_reorder"):
-            FlowConfig(cache_db=str(tmp_path / "c.db"), auto_reorder=True)

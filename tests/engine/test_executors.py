@@ -64,6 +64,20 @@ class TestSerialExecutor:
         assert stats.tasks_emit_lut > 0
         assert stats.queue_depth_max >= 1
 
+    @pytest.mark.parametrize("run", ["plain", "cache", "race", "checkpoint"])
+    def test_nothing_is_offloaded(self, tmp_path, run):
+        # Portable serial runs map their groups in-process, not in workers.
+        knobs = {
+            "plain": {},
+            "cache": {"cache_db": str(tmp_path / "cache.db")},
+            "race": {"policy": "race:ladder-peel,peel-first"},
+            "checkpoint": {"checkpoint_path": str(tmp_path / "run.ckpt")},
+        }[run]
+        net = multi_group_network()
+        stats = synthesize(net, FlowConfig(k=4, **knobs)).engine_stats
+        assert stats.tasks_total > 0
+        assert stats.tasks_offloaded == 0
+
     def test_task_totals_are_consistent(self):
         net = ones_count_network(6, 2)
         stats = synthesize(net, FlowConfig(k=4)).engine_stats

@@ -105,6 +105,40 @@ class TestCancelMidRun:
         assert resumed.engine_stats.checkpoint_replayed >= 1
 
 
+    def test_serial_cancel_between_groups_leaves_a_resumable_checkpoint(
+        self, tmp_path
+    ):
+        # Serial groups run one by one as the collect loop reaches them,
+        # so group 0 is on disk before the delayed group 1 starts.
+        serial = write_blif(synthesize(_rd53()).network)
+        ck = tmp_path / "run.ckpt"
+        config = FlowConfig(
+            checkpoint_path=str(ck),
+            fault_plan=parse_fault_plan("delay=1@1,delay=1@2"),
+        )
+
+        def cancel_once_checkpointed():
+            deadline = time.monotonic() + 60
+            while not ck.exists():
+                if time.monotonic() > deadline:  # pragma: no cover
+                    break
+                time.sleep(0.02)
+            request_cancel()
+
+        canceller = threading.Thread(target=cancel_once_checkpointed)
+        canceller.start()
+        try:
+            with pytest.raises(RunInterrupted):
+                synthesize(_rd53(), config)
+        finally:
+            canceller.join()
+        reset_cancel()
+
+        resumed = synthesize(_rd53(), FlowConfig(resume_from=str(ck)))
+        assert write_blif(resumed.network) == serial
+        assert resumed.engine_stats.checkpoint_replayed >= 1
+
+
 class TestBatchInterruptPropagation:
     def test_serial_batch_never_swallows_interrupts(self, monkeypatch):
         import repro.mapping.flow as flow_mod

@@ -51,10 +51,6 @@ class TestConfigGuards:
         with pytest.raises(ValueError, match="unknown policy"):
             FlowConfig(policy="race:ladder-peel,warp-speed")
 
-    def test_race_conflicts_with_auto_reorder(self):
-        with pytest.raises(ValueError, match="auto_reorder"):
-            FlowConfig(policy=RACE, auto_reorder=True)
-
     def test_race_conflicts_with_fault_injection(self):
         from repro.engine.faults import parse_fault_plan
 

@@ -1,10 +1,11 @@
-"""Fault tolerance of the process executor.
+"""Fault tolerance of the process and serial executors.
 
-Property tests of the ISSUE's acceptance bar: a process run with injected
-faults (worker kills, dropped results, delays, timeouts) must produce BLIF
+Property tests of the reliability contract: a run with injected faults
+(worker kills, dropped results, delays, timeouts) must produce BLIF
 byte-identical to a fault-free serial run; an interrupted checkpointed run
 must resume to the same bytes; a crashing circuit in a batch must fail
-alone.
+alone.  The fault and checkpoint classes run once per executor: the
+``*Serial`` subclasses repeat them with every group mapped in the parent.
 """
 
 import pytest
@@ -47,8 +48,14 @@ def process_config(**kwargs) -> FlowConfig:
     )
 
 
+def serial_config(**kwargs) -> FlowConfig:
+    return FlowConfig(retry_backoff=0.0, **kwargs)
+
+
 class TestFaultEquivalence:
     """Seeded faults never change the mapped network, only its wall-clock."""
+
+    config = staticmethod(process_config)
 
     @pytest.mark.parametrize("name,make_rugged", [
         ("rd53", False),     # 3 groups
@@ -59,7 +66,7 @@ class TestFaultEquivalence:
         net = bench(name, make_rugged)
         baseline = synthesize(net, FlowConfig())
         plan = FaultPlan(seed=3, kills=2, delays=1, delay_seconds=0.01)
-        faulty = synthesize(net, process_config(fault_plan=plan))
+        faulty = synthesize(net, self.config(fault_plan=plan))
         assert write_blif(faulty.network) == write_blif(baseline.network)
         stats = faulty.engine_stats
         assert stats.faults_injected > 0
@@ -69,7 +76,7 @@ class TestFaultEquivalence:
         net = bench("rd53")
         baseline = synthesize(net, FlowConfig())
         plan = FaultPlan(specs=(FaultSpec("drop", group=1),))
-        faulty = synthesize(net, process_config(fault_plan=plan))
+        faulty = synthesize(net, self.config(fault_plan=plan))
         assert write_blif(faulty.network) == write_blif(baseline.network)
         assert faulty.engine_stats.tasks_retried == 1
 
@@ -80,7 +87,7 @@ class TestFaultEquivalence:
             FaultSpec("delay", group=1, seconds=5.0),
         ))
         faulty = synthesize(
-            net, process_config(fault_plan=plan, task_timeout=0.25)
+            net, self.config(fault_plan=plan, task_timeout=0.25)
         )
         assert write_blif(faulty.network) == write_blif(baseline.network)
         assert faulty.engine_stats.task_timeouts >= 1
@@ -95,7 +102,7 @@ class TestFaultEquivalence:
             FaultSpec("drop", group=1, attempts=(0, 1)),
         ))
         faulty = synthesize(
-            net, process_config(fault_plan=plan, task_retries=1)
+            net, self.config(fault_plan=plan, task_retries=1)
         )
         assert write_blif(faulty.network) == write_blif(baseline.network)
         stats = faulty.engine_stats
@@ -109,12 +116,23 @@ class TestFaultEquivalence:
             FaultSpec("drop", group=1, attempts=None),
         ))
         with pytest.raises(GroupFailedError, match="group 1"):
-            synthesize(net, process_config(
+            synthesize(net, self.config(
                 fault_plan=plan, task_retries=1, degrade_to_serial=False,
             ))
 
 
+class TestFaultEquivalenceSerial(TestFaultEquivalence):
+    """The same faults with every group mapped in the parent, where
+    ``kill`` raises instead of exiting the process."""
+
+    config = staticmethod(serial_config)
+    # task_timeout cannot pre-empt a group running in the parent.
+    test_timeout_retries_to_the_same_bytes = None
+
+
 class TestCheckpointResume:
+    config = staticmethod(process_config)
+
     def test_aborted_run_resumes_to_the_same_bytes(self, tmp_path):
         net = bench("rd53")
         baseline = synthesize(net, FlowConfig())
@@ -124,11 +142,11 @@ class TestCheckpointResume:
         # group 1; groups 0 and 1 are on disk, group 2 is not.
         plan = FaultPlan(specs=(FaultSpec("abort", group=1),))
         with pytest.raises(FaultInjected, match="abort"):
-            synthesize(net, process_config(
+            synthesize(net, self.config(
                 fault_plan=plan, checkpoint_path=ck,
             ))
 
-        resumed = synthesize(net, process_config(resume_from=ck))
+        resumed = synthesize(net, self.config(resume_from=ck))
         assert write_blif(resumed.network) == write_blif(baseline.network)
         assert resumed.engine_stats.checkpoint_replayed == 2
 
@@ -143,19 +161,19 @@ class TestCheckpointResume:
             FaultSpec("abort", group=2),
         ))
         with pytest.raises(FaultInjected, match="abort"):
-            synthesize(net, process_config(
+            synthesize(net, self.config(
                 fault_plan=plan, checkpoint_path=ck,
             ))
-        resumed = synthesize(net, process_config(resume_from=ck))
+        resumed = synthesize(net, self.config(resume_from=ck))
         assert write_blif(resumed.network) == write_blif(baseline.network)
         assert resumed.engine_stats.checkpoint_replayed == 3
 
     def test_completed_checkpoint_replays_everything(self, tmp_path):
         net = bench("rd53")
         ck = str(tmp_path / "run.ckpt")
-        first = synthesize(net, process_config(checkpoint_path=ck))
+        first = synthesize(net, self.config(checkpoint_path=ck))
         assert first.engine_stats.checkpoint_saved == 3
-        resumed = synthesize(net, process_config(resume_from=ck))
+        resumed = synthesize(net, self.config(resume_from=ck))
         assert write_blif(resumed.network) == write_blif(first.network)
         stats = resumed.engine_stats
         assert stats.checkpoint_replayed == 3
@@ -163,6 +181,27 @@ class TestCheckpointResume:
         # worker ever ran: nothing failed, nothing retried.
         assert stats.tasks_retried == 0
         assert stats.worker_crashes == 0
+
+
+class TestCheckpointResumeSerial(TestCheckpointResume):
+    config = staticmethod(serial_config)
+
+
+class TestCheckpointAcrossExecutors:
+    @pytest.mark.parametrize("writer,reader", [
+        (process_config, serial_config),
+        (serial_config, process_config),
+    ], ids=["process-to-serial", "serial-to-process"])
+    def test_resume_under_the_other_executor(self, tmp_path, writer, reader):
+        net = bench("misex1", make_rugged=True)
+        baseline = synthesize(net, FlowConfig())
+        ck = str(tmp_path / "run.ckpt")
+        plan = FaultPlan(specs=(FaultSpec("abort", group=1),))
+        with pytest.raises(FaultInjected, match="abort"):
+            synthesize(net, writer(fault_plan=plan, checkpoint_path=ck))
+        resumed = synthesize(net, reader(resume_from=ck))
+        assert write_blif(resumed.network) == write_blif(baseline.network)
+        assert resumed.engine_stats.checkpoint_replayed == 2
 
 
 class TestBatchIsolation:

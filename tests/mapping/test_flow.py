@@ -244,23 +244,6 @@ class TestBackendParity:
         with pytest.raises(ValueError, match="backend"):
             FlowConfig(bdd_backend="cudd")
 
-    def test_auto_reorder_needs_serial_executor(self):
-        with pytest.raises(ValueError, match="auto_reorder"):
-            FlowConfig(auto_reorder=True, executor="process")
-
-    def test_reorder_factor_validated(self):
-        with pytest.raises(ValueError, match="reorder_factor"):
-            FlowConfig(reorder_factor=1.0)
-
-    def test_auto_reorder_flow_stays_exact(self):
-        net = ones_count_network(6, 3)
-        result = synthesize(
-            net,
-            FlowConfig(k=4, mode="single", auto_reorder=True,
-                       reorder_factor=1.01),
-        )
-        assert verify_flow(net, result)
-
 
 class TestTypedStats:
     def test_bdd_stats_is_dataclass(self):

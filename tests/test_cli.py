@@ -142,11 +142,6 @@ class TestBddBackendFlag:
         assert rc == 2
         assert "numpy" in capsys.readouterr().err
 
-    def test_auto_reorder_flag(self, pla_file, capsys):
-        assert main(["synth", str(pla_file), "--auto-reorder",
-                     "--reorder-factor", "1.5"]) == 0
-        assert "verified" in capsys.readouterr().out
-
 
 class TestErrorHandling:
     def test_missing_file(self, capsys):
@@ -312,12 +307,13 @@ class TestBatch:
 
     def test_batch_report_merges_engine_stats(self, pla_file, blif_file, tmp_path):
         report_path = tmp_path / "batch.json"
-        rc = main(["batch", str(pla_file), str(blif_file),
-                   "--report", str(report_path)])
-        assert rc == 0
-        payload = validate_report(json.loads(report_path.read_text()))
-        assert payload["engine"]["tasks_total"] > 0
-        assert payload["meta"]["verified"] is True
+        for executor in ([], ["--executor", "process", "--jobs", "2"]):
+            rc = main(["batch", str(pla_file), str(blif_file), *executor,
+                       "--report", str(report_path)])
+            assert rc == 0
+            payload = validate_report(json.loads(report_path.read_text()))
+            assert payload["engine"]["tasks_total"] > 0
+            assert payload["meta"]["verified"] is True
 
 
 @pytest.fixture
@@ -351,15 +347,6 @@ class TestReliabilityCli:
         assert payload["engine"]["faults_injected"] >= 2
         assert payload["failures"]  # structured per-attempt records
 
-    def test_inject_faults_needs_the_process_executor(self, rd53_file, capsys):
-        rc = main(["synth", str(rd53_file), "--inject-faults", "kill@0"])
-        assert rc == 2
-        assert "--executor process" in capsys.readouterr().err
-
-    def test_checkpoint_needs_the_process_executor(self, rd53_file, capsys):
-        rc = main(["synth", str(rd53_file), "--checkpoint", "ck.json"])
-        assert rc == 2
-
     def test_abort_checkpoint_resume_round_trip(
         self, rd53_file, tmp_path, capsys
     ):
@@ -379,6 +366,23 @@ class TestReliabilityCli:
                    "-o", str(resumed)])
         assert rc == 0
         assert resumed.read_text() == serial.read_text()
+
+    def test_serial_abort_checkpoint_resume_round_trip(
+        self, rd53_file, tmp_path, capsys
+    ):
+        # The serial executor checkpoints group by group and takes fault
+        # plans like the process executor does.
+        plain = tmp_path / "plain.blif"
+        assert main(["synth", str(rd53_file), "-o", str(plain)]) == 0
+        ck = tmp_path / "run.ckpt"
+        rc = main(["synth", str(rd53_file), "--checkpoint", str(ck),
+                   "--inject-faults", "abort@1"])
+        assert rc == 1
+        resumed = tmp_path / "resumed.blif"
+        rc = main(["synth", str(rd53_file), "--resume", str(ck),
+                   "-o", str(resumed)])
+        assert rc == 0
+        assert resumed.read_text() == plain.read_text()
 
     def test_resume_under_other_knobs_exits_2(
         self, rd53_file, tmp_path, capsys

@@ -6,6 +6,10 @@ the same digests ``perfbench/run.py`` prints per circuit.  A refactor of
 any layer below the flow -- BDD package, bound-set scoring, IMODEC, the
 engine -- must leave every digest unchanged.  vg2 has outputs wider than
 the truth-table limit, so its bound sets are scored on the BDD route.
+
+The executor cells map the same circuits on the process pool, through the
+serial executor's portable path (checkpoint file, warm result cache) and
+as one process batch: every executor must emit the same bytes.
 """
 
 import hashlib
@@ -14,6 +18,7 @@ import pytest
 
 from repro.algebraic.rugged import rugged
 from repro.benchcircuits import get_circuit
+from repro.engine import synthesize_batch
 from repro.io.blif import write_blif
 from repro.mapping.flow import FlowConfig, synthesize
 from repro.mapping.structural import synthesize_structural
@@ -46,3 +51,43 @@ def test_arena_backend(name):
     pytest.importorskip("numpy")
     config = FlowConfig(k=5, bdd_backend="arena")
     assert digest(synthesize(get_circuit(name).build(), config)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_rugged_collapsed_flow(executor):
+    # What ``synth --rugged`` runs.  Collapsing removes the rugged script's
+    # structure, so the bytes are those of the collapsed flow.
+    network = rugged(get_circuit("misex1").build().copy())
+    config = FlowConfig(k=5, executor=executor, jobs=2)
+    assert digest(synthesize(network, config)) == GOLDEN["misex1"]
+
+
+def executor_runs(cell: str, tmp_path) -> list[FlowConfig]:
+    """The configurations one executor cell runs, in order."""
+    if cell == "process":
+        return [FlowConfig(k=5, executor="process", jobs=2)]
+    if cell == "serial-checkpoint":
+        return [FlowConfig(k=5, checkpoint_path=str(tmp_path / "run.ckpt"))]
+    # A cold run fills the cache the second run reads.
+    return [FlowConfig(k=5, cache_db=str(tmp_path / "cache.db"))] * 2
+
+
+@pytest.mark.parametrize(
+    "cell", ["process", "serial-checkpoint", "serial-warm-cache"]
+)
+@pytest.mark.parametrize("name", ["rd53", "misex1"])
+def test_executor_cells(name, cell, tmp_path):
+    for config in executor_runs(cell, tmp_path):
+        result = synthesize(get_circuit(name).build(), config)
+        assert digest(result) == GOLDEN[name]
+    if cell == "serial-warm-cache":
+        assert result.engine_stats.cache_misses == 0
+
+
+def test_process_batch():
+    names = ["rd53", "misex1"]
+    results = synthesize_batch(
+        [get_circuit(name).build() for name in names],
+        FlowConfig(k=5, executor="process", jobs=2),
+    )
+    assert [digest(r) for r in results] == [GOLDEN[name] for name in names]
