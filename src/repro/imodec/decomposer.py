@@ -52,13 +52,15 @@ class SharedFunction:
     Attributes:
         classes_on: global classes in the onset (the z-vertex, Example 4).
         table: the function over the bound set (LSB-first vertex indexing).
-        node: the same function as a BDD node over the bound-set levels.
+        node: the same function as a BDD node over the bound-set levels, in
+            the caller's manager; None when the decomposition was built
+            with ``build_g=False`` (a trial needs only the function count).
         users: output indices whose assignment includes this function.
     """
 
     classes_on: frozenset[int]
     table: TruthTable
-    node: int
+    node: int | None
     users: list[int] = field(default_factory=list)
 
 
@@ -150,7 +152,8 @@ class MultiOutputDecomposition:
         )
 
     def verify(self, bdd: BDD, f_nodes: Sequence[int]) -> bool:
-        """Exact check of every output by BDD composition."""
+        """Exact check of every output by BDD composition (needs a
+        decomposition built with ``build_g=True``)."""
         for k, f in enumerate(f_nodes):
             substitution = {
                 lvl: self.d_pool[idx].node
@@ -175,17 +178,34 @@ def decompose_multi(
     build_g: bool = True,
     dc_fill: str = "zero",
     strict: bool = False,
-) -> MultiOutputDecomposition:
+    local_partitions: Sequence[Partition] | None = None,
+    max_functions: int | None = None,
+) -> MultiOutputDecomposition | None:
     """Decompose the multiple-output function given by ``f_nodes``.
 
     All outputs live in the shared manager ``bdd`` with supports inside
     ``bs_levels + fs_levels``.  New code variables for the ``g_k`` inputs are
-    appended to the manager.  ``build_g=False`` skips the composition
-    functions (and their code variables) -- used by trial decompositions
-    that only need the function counts.  ``strict=True`` runs the
-    one-code-per-class baseline (Karp's strict decomposition, the paper's
-    refs [10, 11]); the non-strict default detects strictly more shared
-    functions.
+    appended to the manager.  ``strict=True`` runs the one-code-per-class
+    baseline (Karp's strict decomposition, the paper's refs [10, 11]); the
+    non-strict default detects strictly more shared functions.
+
+    Trial decompositions read only the pool size ``q``; three arguments
+    save the work they do not read:
+
+    - ``build_g=False`` skips the composition functions, their code
+      variables and the d-function BDDs (``SharedFunction.node`` is None).
+    - ``local_partitions`` are the outputs' local compatibility partitions
+      over the vertices of ``bs_levels`` (Definition 1), e.g. from
+      :meth:`repro.partitioning.kernel.BoundSetKernel.local_partitions`.
+      The outputs are cofactored only when these are not given or
+      ``build_g`` is set; with both, the call adds nothing to ``bdd``.
+    - ``max_functions=L`` returns None as soon as ``q >= L`` is certain.
+      At the start of every Lmax iteration
+      ``q >= max(ceil(ld p), |pool| + max_k (c_k - |assigned_k|))``:
+      Property 1, and each iteration adds one pool function and gives every
+      output at most one.  So the call returns None exactly when the
+      unbounded call's ``q`` is at least ``L``, and otherwise the identical
+      decomposition (the iterations it runs are the same prefix).
 
     When a tracer is installed (:mod:`repro.observe`), the whole call is
     recorded under an ``imodec`` span with per-iteration Lmax counts, chi
@@ -195,7 +215,8 @@ def decompose_multi(
         return _decompose_multi_impl(
             bdd, f_nodes, bs_levels, fs_levels,
             tie_break=tie_break, code_prefix=code_prefix, build_g=build_g,
-            dc_fill=dc_fill, strict=strict,
+            dc_fill=dc_fill, strict=strict, local_partitions=local_partitions,
+            max_functions=max_functions,
         )
 
 
@@ -209,7 +230,9 @@ def _decompose_multi_impl(
     build_g: bool,
     dc_fill: str,
     strict: bool,
-) -> MultiOutputDecomposition:
+    local_partitions: Sequence[Partition] | None,
+    max_functions: int | None,
+) -> MultiOutputDecomposition | None:
     bs = list(bs_levels)
     fs = list(fs_levels)
     if set(bs) & set(fs):
@@ -223,11 +246,17 @@ def _decompose_multi_impl(
     if m == 0:
         raise ValueError("need at least one output")
 
-    cofactors = [cofactor_map(bdd, f, bs) for f in f_nodes]
-    local_parts = [Partition.from_keys(cof) for cof in cofactors]
+    cofactors: list[list[int]] = []
+    if build_g or local_partitions is None:
+        cofactors = [cofactor_map(bdd, f, bs) for f in f_nodes]
+    if local_partitions is None:
+        local_parts = [Partition.from_keys(cof) for cof in cofactors]
+    else:
+        local_parts = list(local_partitions)
     global_part = global_partition(local_parts)
     p = global_part.num_blocks
     codewidths = [codewidth(part.num_blocks) for part in local_parts]
+    floor_q = lower_bound_q(p)
 
     # Local classes expressed as sets of global class ids, per output.
     classes_by_output: list[list[frozenset[int]]] = [
@@ -272,9 +301,26 @@ def _decompose_multi_impl(
             observe.add("chi_cache_hits")
         return node
 
+    def record() -> None:
+        if traced:
+            observe.add("calls")
+            observe.add("outputs", m)
+            observe.add("global_classes", p)
+            observe.add("pool_functions", len(d_pool))
+            observe.add("zspace_nodes", zspace.bdd.num_nodes)
+            observe.gauge("max_global_classes", p)
+            observe.gauge("max_pool_functions", len(d_pool))
+
     while True:
         observe.checkpoint()  # budget enforcement per fixpoint iteration
         active = [k for k in range(m) if len(assigned[k]) < codewidths[k]]
+        if max_functions is not None:
+            still_needed = max(
+                (codewidths[k] - len(assigned[k]) for k in active), default=0
+            )
+            if max(floor_q, len(d_pool) + still_needed) >= max_functions:
+                record()
+                return None
         if not active:
             break
         observe.add("iterations")
@@ -290,7 +336,7 @@ def _decompose_multi_impl(
         shared = SharedFunction(
             classes_on=classes_on,
             table=table,
-            node=table.to_bdd(bdd, bs),
+            node=table.to_bdd(bdd, bs) if build_g else None,
         )
         pool_index = len(d_pool)
         d_pool.append(shared)
@@ -319,14 +365,7 @@ def _decompose_multi_impl(
             )
         observe.add("lmax_sharing", result.count)
 
-    if traced:
-        observe.add("calls")
-        observe.add("outputs", m)
-        observe.add("global_classes", p)
-        observe.add("pool_functions", len(d_pool))
-        observe.add("zspace_nodes", zspace.bdd.num_nodes)
-        observe.gauge("max_global_classes", p)
-        observe.gauge("max_pool_functions", len(d_pool))
+    record()
 
     # Build the composition functions.
     code_levels: list[list[int]] = []

@@ -33,6 +33,9 @@ How a triple is computed:
 - ``l_k`` is the number of distinct ids; ``p`` is the number of distinct id
   tuples once every involved output's vector is gathered onto the vertices
   of the union of the ``D``.
+- Gathered onto the vertices of ``B`` itself, the vectors are the outputs'
+  local partitions (:meth:`BoundSetKernel.local_partitions`), which trial
+  decompositions read instead of cofactoring again.
 
 The memo:
 
@@ -58,6 +61,7 @@ from typing import Sequence
 
 from repro.bdd.manager import BDD, row_mask
 from repro.decompose.compat import cofactor_map
+from repro.decompose.partitions import Partition
 
 #: Largest per-function support eligible for truth-table cofactoring.
 #: 2^14 rows = 2 KiB per packed table; beyond that, BDD cofactoring wins.
@@ -145,10 +149,11 @@ class BoundSetKernel:
         self._next_vector = 0
         # (union size, bit positions of D in the union) -> gather
         self._gathers: dict[tuple[int, tuple[int, ...]], itemgetter] = {}
+        self._size = 0  # entries of all five tables together
 
     def __len__(self) -> int:
         """Number of memo entries held."""
-        return sum(len(table) for table in self._memos())
+        return self._size
 
     def __enter__(self) -> "BoundSetKernel":
         return self
@@ -161,6 +166,7 @@ class BoundSetKernel:
         self._manager = None
         for table in self._memos():
             table.clear()
+        self._size = 0
 
     def _memos(self) -> tuple[dict, ...]:
         return (
@@ -168,13 +174,16 @@ class BoundSetKernel:
             self._gathers,
         )
 
-    def _make_room(self) -> None:
-        """Keep one more entry within the bound: drop the oldest half of each table."""
-        if len(self) < MAX_ENTRIES:
-            return
-        for table in self._memos():
-            for key in list(islice(iter(table), (len(table) + 1) // 2)):
-                del table[key]
+    def _store(self, table: dict, key: object, value: object) -> None:
+        """Insert a new entry, first dropping the oldest half of every table
+        when the memo is full."""
+        if self._size >= MAX_ENTRIES:
+            for memo in self._memos():
+                for old in list(islice(iter(memo), (len(memo) + 1) // 2)):
+                    del memo[old]
+            self._size = sum(len(memo) for memo in self._memos())
+        table[key] = value
+        self._size += 1
 
     def _bind(self, bdd: BDD) -> None:
         """Serve ``bdd``: a different manager than last time empties the memo."""
@@ -193,8 +202,7 @@ class BoundSetKernel:
                 bdd.to_truth_bits(f, support),
                 {lvl: pos for pos, lvl in enumerate(support)},
             )
-        self._make_room()
-        self._tables[f] = entry
+        self._store(self._tables, f, entry)
         return entry
 
     def _class_vector(self, bdd: BDD, f: int, dep: int) -> tuple[Ids, int]:
@@ -214,8 +222,7 @@ class BoundSetKernel:
         else:
             keys = cofactor_map(bdd, f, levels)
         entry = _class_ids(keys)
-        self._make_room()
-        self._classes[key] = entry
+        self._store(self._classes, key, entry)
         return entry
 
     def _gather(self, size: int, positions: tuple[int, ...]) -> itemgetter:
@@ -232,8 +239,7 @@ class BoundSetKernel:
                 for u in range(1 << size)
             ]
             gather = itemgetter(*index)
-            self._make_room()
-            self._gathers[key] = gather
+            self._store(self._gathers, key, gather)
         return gather
 
     def triples(
@@ -249,8 +255,7 @@ class BoundSetKernel:
         if vid is None:
             vid = self._next_vector
             self._next_vector += 1
-            self._make_room()
-            self._vectors[vector] = vid
+            self._store(self._vectors, vector, vid)
         # support masks, and level -> outputs depending on it
         supports: list[int] = []
         touched_by: dict[int, list[int]] = {}
@@ -273,14 +278,38 @@ class BoundSetKernel:
                 for lvl in combo:
                     touched.update(touched_by.get(lvl, ()))
                 triple = self._score(bdd, vector, supports, touched, bmask)
-                self._make_room()
-                memo[key] = triple
+                self._store(memo, key, triple)
             out.append(triple)
         return out
 
     def score(self, bdd: BDD, f_nodes: Sequence[int], combo: Sequence[int]) -> Triple:
         """The triple of one candidate bound set."""
         return self.triples(bdd, f_nodes, [combo])[0]
+
+    def local_partitions(
+        self, bdd: BDD, f_nodes: Sequence[int], bs_levels: Sequence[int]
+    ) -> list[Partition]:
+        """Local compatibility partition of every output over the vertices of
+        ``bs_levels`` (bit ``j`` of a vertex is the value of ``bs_levels[j]``).
+
+        Each output's memoized class-id vector is gathered onto the bound
+        set's vertices; :class:`Partition` normalizes labels, so the result
+        equals :func:`~repro.decompose.compat.local_partition`'s exactly.
+        """
+        self._bind(bdd)
+        position = {lvl: j for j, lvl in enumerate(bs_levels)}
+        parts = []
+        for f in f_nodes:
+            dep = 0
+            for lvl in bdd.support(f):
+                if lvl in position:
+                    dep |= 1 << lvl
+            vec, _ = self._class_vector(bdd, f, dep)
+            gather = self._gather(
+                len(bs_levels), tuple(position[lvl] for lvl in _levels(dep))
+            )
+            parts.append(Partition(gather(vec)))
+        return parts
 
     def _score(
         self,

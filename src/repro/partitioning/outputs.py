@@ -10,7 +10,19 @@ group with the leftovers.
 
 Trial decompositions dominate the run time (the paper blames alu2's 902
 seconds on exactly this); the ``max_group`` and ``max_globals`` caps are the
-paper's "limit m" safety valve.
+paper's "limit m" safety valve.  The greedy reads one bit from a trial --
+does the gain beat the group's current gain? -- so each trial computes only
+that, exactly:
+
+- the gain to beat becomes a bound on the trial's pool size ``q``, and the
+  decomposition stops as soon as ``q`` provably reaches it
+  (:func:`trial_gain`, ``decompose_multi(max_functions=...)``);
+- a scorer that picks the bound set the other scorer already tried is
+  skipped;
+- the local partitions come from the kernel that scored the bound set, and
+  no composition function or d-function BDD is built.
+
+Every chosen group is the same as with unbounded trials.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ from repro import observe
 from repro.bdd.manager import BDD
 from repro.decompose.compat import codewidth
 from repro.imodec.decomposer import decompose_multi
+from repro.imodec.globalpart import lower_bound_q
 from repro.partitioning.kernel import BoundSetKernel
 from repro.partitioning.variables import choose_bound_set
 
@@ -62,6 +75,7 @@ def trial_gain(
     max_globals: int | None = None,
     solo_costs: Sequence[int] | None = None,
     kernel: BoundSetKernel | None = None,
+    min_gain: int | None = None,
 ) -> TrialResult | None:
     """Gain of decomposing the given vector together, against solo baselines.
 
@@ -71,6 +85,14 @@ def trial_gain(
     individual codewidths therefore shows up as a reduced or negative gain.
     Returns None when the vector is not worth decomposing together (support
     too small, or p explodes past ``max_globals`` -- the Property 1 abort).
+
+    Both bound-set scorers are tried and the first of the best gains is
+    kept.  ``min_gain`` is the gain to beat: the call then returns None
+    exactly when the unbounded call returns None or a gain ``<= min_gain``,
+    and otherwise the identical result.  Each scorer's decomposition is
+    bounded by ``q < sum_k c_k - max(min_gain, best gain so far)``, the
+    pool size below which it would change the outcome, and stops (the
+    ``trial_aborts`` counter) once it provably cannot get there.
     """
     supports = set()
     for f in f_nodes:
@@ -87,22 +109,44 @@ def trial_gain(
         if any(c is None for c in maybe):
             return None
         solo_costs = [c for c in maybe if c is not None]
+    unshared = sum(solo_costs)
     # Try both bound-set scorers (see repro.partitioning.variables) and keep
     # the better gain -- mirroring the flow's own dual attempt.
     best: TrialResult | None = None
+    first_bs: list[int] | None = None
     for scorer in ("compact", "shared") if len(f_nodes) > 1 else ("compact",):
         observe.add("trial_decompositions")
         bs, fs = choose_bound_set(
             bdd, f_nodes, usable, bound_size, scorer=scorer, kernel=kernel
         )
-        if max_globals is not None and kernel.score(bdd, f_nodes, bs)[0] > max_globals:
+        if bs == first_bs:
+            # Same bound set, same decomposition: it cannot beat the first.
+            observe.add("scorer_race_skips")
+            continue
+        first_bs = bs
+        p = kernel.score(bdd, f_nodes, bs)[0]
+        if max_globals is not None and p > max_globals:
+            continue
+        # A kept result already beats min_gain (see below).
+        to_beat = min_gain if best is None else best.gain
+        max_functions = None if to_beat is None else unshared - to_beat
+        if max_functions is not None and lower_bound_q(p) >= max_functions:
+            observe.add("trial_aborts")
             continue
         # The trial decomposition itself (no g construction: only q needed).
-        result = decompose_multi(bdd, list(f_nodes), bs, fs, build_g=False)
-        gain = sum(solo_costs) - result.num_functions
-        candidate = TrialResult(gain=gain, num_globals=result.num_global_classes)
-        if best is None or candidate.gain > best.gain:
-            best = candidate
+        result = decompose_multi(
+            bdd, list(f_nodes), bs, fs, build_g=False,
+            local_partitions=kernel.local_partitions(bdd, f_nodes, bs),
+            max_functions=max_functions,
+        )
+        if result is None:
+            observe.add("trial_aborts")
+            continue
+        # Within the bound, the gain beats both min_gain and best.
+        best = TrialResult(
+            gain=unshared - result.num_functions,
+            num_globals=result.num_global_classes,
+        )
     return best
 
 
@@ -170,7 +214,8 @@ def partition_outputs(
     :class:`~repro.partitioning.kernel.BoundSetKernel`, emptied on return.
 
     Recorded under a ``partition_outputs`` span (trial-decomposition counts,
-    resulting group shapes) when a tracer is installed.
+    trials the gain bound stopped, skipped duplicate scorers, resulting
+    group shapes) when a tracer is installed.
     """
     with observe.span("partition_outputs"), BoundSetKernel() as kernel:
         groups = _partition_outputs_impl(
@@ -228,8 +273,9 @@ def _partition_outputs_impl(
                 max_globals,
                 solo_costs=[solo[k] for k in members],  # type: ignore[misc]
                 kernel=kernel,
+                min_gain=current_gain,
             )
-            if trial is None or trial.gain <= current_gain:
+            if trial is None:
                 # the paper: if the gain decreased, the combination is undone
                 break
             group.append(candidate)

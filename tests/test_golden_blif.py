@@ -9,19 +9,24 @@ the truth-table limit, so its bound sets are scored on the BDD route.
 
 The executor cells map the same circuits on the process pool, through the
 serial executor's portable path (checkpoint file, warm result cache) and
-as one process batch: every executor must emit the same bytes.
+as one process batch: every executor must emit the same bytes.  Naming the
+default target explicitly (``--target xc3000-clb``) must not change them
+either.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
+from repro import observe
 from repro.algebraic.rugged import rugged
 from repro.benchcircuits import get_circuit
 from repro.engine import synthesize_batch
 from repro.io.blif import write_blif
 from repro.mapping.flow import FlowConfig, synthesize
 from repro.mapping.structural import synthesize_structural
+from repro.observe import Tracer
 
 GOLDEN = {
     "rd53": "18202d2aa0294ba9a10e87feafb7ec980560627b40e756a6deccf2482c64816f",
@@ -60,6 +65,37 @@ def test_rugged_collapsed_flow(executor):
     network = rugged(get_circuit("misex1").build().copy())
     config = FlowConfig(k=5, executor=executor, jobs=2)
     assert digest(synthesize(network, config)) == GOLDEN["misex1"]
+
+
+def test_traced_trials_take_the_gain_bound():
+    # The golden misex1 bytes come out of trial decompositions that the
+    # gain bound stopped early, and of a skipped duplicate scorer.
+    tracer = Tracer()
+    with observe.tracing(tracer):
+        result = synthesize(get_circuit("misex1").build(), FlowConfig(k=5))
+    assert digest(result) == GOLDEN["misex1"]
+    counters: Counter = Counter()
+    spans = [tracer.root]
+    while spans:
+        span = spans.pop()
+        if span.name == "partition_outputs":
+            counters.update(span.counters)
+        spans.extend(span.children.values())
+    assert counters["trial_aborts"] >= 1
+    assert counters["scorer_race_skips"] >= 1
+
+
+@pytest.mark.parametrize(
+    "name, executor, prestructure",
+    [("rd53", "serial", False), ("rd53", "process", False), ("misex1", "process", True)],
+    ids=["rd53-serial", "rd53-process", "rugged-misex1-process"],
+)
+def test_explicit_xc3000_target(name, executor, prestructure):
+    network = get_circuit(name).build()
+    if prestructure:
+        network = rugged(network.copy())
+    config = FlowConfig(target="xc3000-clb", executor=executor, jobs=2)
+    assert digest(synthesize(network, config)) == GOLDEN[name]
 
 
 def executor_runs(cell: str, tmp_path) -> list[FlowConfig]:
