@@ -13,10 +13,14 @@ contract on real circuits and records the wall-clock of both executors:
   worker decomposes on a small private BDD manager instead of the parent's
   collapse-polluted one.
 
-Only the map phase is timed for the collapsed flow: collapse and output
-partitioning run in the parent either way, so end-to-end numbers would
-dilute the executor difference with identical serial work.  The structural
-row (rot) times the whole node-wise flow, batches included.
+Only the map phase is timed for the collapsed flow: for one network,
+collapse and output partitioning run in the parent before any group is
+mapped, under either executor, so end-to-end numbers would dilute the
+executor difference with identical serial work.  The structural row (rot)
+times the whole node-wise flow, batches included.  The batch row times the
+whole ``synthesize_batch`` call: under the process executor the parent
+partitions each network while the workers map the networks before it, so
+that row also measures the overlap of partitioning with mapping.
 """
 
 import os

@@ -1,23 +1,28 @@
 """Batch synthesis: many networks through one shared work queue.
 
-With the serial executor this is just a loop over :func:`synthesize`.  With
-the process executor the batch is where the engine earns its keep: every
-network is collapsed and partitioned up front, the groups of *all* networks
-are enqueued on the shared process pool before any result is collected, and
-workers drain the combined queue -- so a one-group network no longer
-serializes the batch the way per-network mapping would.
+Under any executor but ``process`` this is a loop over :func:`synthesize`.
+Under the process executor the batch is a pipeline: the parent collapses and
+partitions one network, submits its groups to the shared process pool at
+once, and only then prepares the next network, so the pool maps the groups
+of earlier networks while the parent partitions later ones.  Every network
+is collected afterwards, in input order.  Submission ordinals count groups
+in network order across the whole batch.  A seeded-random fault plan
+samples its ordinals from the batch's total group count, so only a batch
+with such a plan prepares every network before its first submission.
 
 Results come back in input order and are identical to per-network
 :func:`synthesize` calls with the same configuration (the executor
 guarantee is per-group, so batching does not change any mapped network).
 
-**Failure isolation**: each circuit collects inside its own failure
-boundary, so a worker crash (or any permanent group failure) in one
-circuit fails *only that circuit* -- the shared pool is rebuilt by the
+**Failure isolation**: each circuit prepares and collects inside its own
+failure boundary, so a worker crash (or any permanent group failure) in
+one circuit fails *only that circuit* -- the shared pool is rebuilt by the
 executor's retry machinery and the remaining circuits complete.  With
 ``fail_fast=False`` the failed circuit's slot holds the exception instead
 of a :class:`FlowResult`; the CLI reports it and signals partial failure
-through the exit code (see ``docs/RELIABILITY.md``).
+through the exit code (see ``docs/RELIABILITY.md``).  Whenever the batch
+unwinds early, every submitted future it has not collected is cancelled,
+so no orphaned group keeps the shared pool busy.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro import observe
-from repro.engine.executors import ProcessExecutor
+from repro.engine.executors import ProcessExecutor, cancel_requested
 from repro.engine.faults import NO_FAULTS
 from repro.errors import ReproError, RunInterrupted
 
@@ -39,7 +44,7 @@ def synthesize_batch(
     config: "FlowConfig | None" = None,
     fail_fast: bool = True,
 ) -> list:
-    """Map every network; one shared queue under the process executor.
+    """Map every network; one shared, pipelined queue under the process executor.
 
     Returns one entry per input network, in order.  With the default
     ``fail_fast=True`` the first failing circuit raises; with
@@ -63,47 +68,74 @@ def synthesize_batch(
                 results.append(exc)
         return results
 
-    preps = [prepare_synthesis(net, config) for net in networks]
-    total_groups = sum(len(prep.groups) for prep in preps)
-    faults = (
-        config.fault_plan.resolve(total_groups)
-        if config.fault_plan is not None
-        else NO_FAULTS
-    )
-    submissions = []
-    with observe.span("engine-dispatch"):
-        observe.add("batch_networks", len(preps))
+    def prepare(net: "Network"):
+        """The network's prepared run, or (``fail_fast=False``) its error."""
+        if cancel_requested():
+            raise RunInterrupted("batch cancelled (signal or server drain)")
+        try:
+            return prepare_synthesis(net, config)
+        except RunInterrupted:
+            raise  # whole-run teardown, never a per-circuit failure
+        except ReproError as exc:
+            if fail_fast:
+                raise
+            observe.add("batch_circuits_failed")
+            return exc
+
+    plan = config.fault_plan
+    preps: list = [None] * len(networks)
+    if plan is not None and max(plan.kills, plan.drops, plan.delays) > 0:
+        preps = [prepare(net) for net in networks]
+        faults = plan.resolve(
+            sum(len(p.groups) for p in preps if not isinstance(p, ReproError))
+        )
+    else:
+        faults = plan.resolve(0) if plan is not None else NO_FAULTS
+
+    results = [None] * len(networks)
+    dispatched = []
+    try:
         first_ordinal = 0
-        for prep in preps:
+        for slot, net in enumerate(networks):
+            prep = preps[slot] if preps[slot] is not None else prepare(net)
+            if isinstance(prep, ReproError):
+                results[slot] = prep
+                continue
             executor = prep.engine.executor
             if not isinstance(executor, ProcessExecutor):
                 raise TypeError(
                     f"batch dispatch needs a ProcessExecutor, got {executor!r}"
                 )
-            observe.add("groups", len(prep.groups))
-            submissions.append(
-                executor.submit_groups(
+            with observe.span("engine-dispatch"):
+                observe.add("batch_networks")
+                observe.add("groups", len(prep.groups))
+                subs = executor.submit_groups(
                     prep.engine,
                     prep.group_nodes,
                     first_ordinal=first_ordinal,
                     faults=faults,
                 )
-            )
+            dispatched.append((slot, prep, subs))
             first_ordinal += len(prep.groups)
-    results = []
-    with observe.span("engine-collect"):
-        for prep, subs in zip(preps, submissions):
-            executor = prep.engine.executor
-            try:
-                signals = executor.collect_groups(
-                    prep.engine, subs, faults=faults
-                )
-                results.append(prep.finish(signals))
-            except RunInterrupted:
-                raise  # whole-run teardown, never a per-circuit failure
-            except ReproError as exc:
-                if fail_fast:
-                    raise
-                observe.add("batch_circuits_failed")
-                results.append(exc)
+        with observe.span("engine-collect"):
+            for slot, prep, subs in dispatched:
+                try:
+                    signals = prep.engine.executor.collect_groups(
+                        prep.engine, subs, faults=faults
+                    )
+                    results[slot] = prep.finish(signals)
+                except RunInterrupted:
+                    raise  # whole-run teardown, never a per-circuit failure
+                except ReproError as exc:
+                    if fail_fast:
+                        raise
+                    ProcessExecutor._cancel_outstanding(prep.engine, subs)
+                    observe.add("batch_circuits_failed")
+                    results[slot] = exc
+    except BaseException:
+        # Futures that are done or running ignore the cancel; queued ones
+        # must not keep the shared pool busy after the batch is dead.
+        for _, prep, subs in dispatched:
+            ProcessExecutor._cancel_outstanding(prep.engine, subs)
+        raise
     return results

@@ -9,7 +9,10 @@ from repro.engine.executors import (
     ProcessExecutor,
     SerialExecutor,
     make_executor,
+    request_cancel,
+    reset_cancel,
 )
+from repro.errors import RunInterrupted
 from repro.io.blif import write_blif
 from repro.mapping.flow import FlowConfig, synthesize, verify_flow
 from repro.network.network import Network
@@ -33,6 +36,14 @@ def multi_group_network():
     net.add_node("b", [f"x{i}" for i in range(6, 12)], Sop.from_truthtable(hi))
     net.set_outputs(["a", "b"])
     return net
+
+
+@pytest.fixture
+def clean_cancel_flag():
+    """Never leak a cancel request into (or out of) a test."""
+    reset_cancel()
+    yield
+    reset_cancel()
 
 
 class TestMakeExecutor:
@@ -162,3 +173,53 @@ class TestBatch:
         for net, a, b in zip(nets, serial, process):
             assert write_blif(a.network) == write_blif(b.network)
             assert verify_flow(net, b)
+
+    @staticmethod
+    def _spy(monkeypatch, after_prepare=None) -> tuple[list, list]:
+        """Log prepares and pool submissions in order; keep the futures."""
+        import repro.mapping.flow as flow_mod
+
+        events: list[str] = []
+        futures: list = []
+        real_prepare = flow_mod.prepare_synthesis
+        real_submit = ProcessExecutor._pool_submit
+
+        def prepare(net, config):
+            events.append("prepare")
+            prep = real_prepare(net, config)
+            if after_prepare is not None:
+                after_prepare()
+            return prep
+
+        def submit(self, payload):
+            events.append("submit")
+            futures.append(real_submit(self, payload))
+            return futures[-1]
+
+        monkeypatch.setattr(flow_mod, "prepare_synthesis", prepare)
+        monkeypatch.setattr(ProcessExecutor, "_pool_submit", submit)
+        return events, futures
+
+    def test_process_batch_submits_before_preparing_the_next_network(
+        self, monkeypatch
+    ):
+        events, _ = self._spy(monkeypatch)
+        synthesize_batch(
+            self._networks(),
+            FlowConfig(k=4, mode="multi", executor="process", jobs=2),
+        )
+        assert events[0] == "prepare"
+        assert events.index("submit") < events.index("prepare", 1)
+
+    def test_cancel_between_networks_stops_the_batch(
+        self, monkeypatch, clean_cancel_flag
+    ):
+        events, futures = self._spy(monkeypatch, after_prepare=request_cancel)
+        with pytest.raises(RunInterrupted):
+            synthesize_batch(
+                self._networks(),
+                FlowConfig(k=4, mode="multi", executor="process", jobs=2),
+            )
+        assert events.count("prepare") == 1
+        assert futures
+        assert not [f for f in futures if not (f.done() or f.running())]

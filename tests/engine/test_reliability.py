@@ -4,7 +4,8 @@ Property tests of the reliability contract: a run with injected faults
 (worker kills, dropped results, delays, timeouts) must produce BLIF
 byte-identical to a fault-free serial run; an interrupted checkpointed run
 must resume to the same bytes; a crashing circuit in a batch must fail
-alone.  The fault and checkpoint classes run once per executor: the
+alone, and a batch that unwinds early must leave no group queued on the
+pool.  The fault and checkpoint classes run once per executor: the
 ``*Serial`` subclasses repeat them with every group mapped in the parent.
 """
 
@@ -13,6 +14,7 @@ import pytest
 from repro.algebraic.rugged import rugged
 from repro.benchcircuits.registry import get_circuit
 from repro.engine import synthesize_batch
+from repro.engine.executors import ProcessExecutor, shutdown_pool
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.errors import FaultInjected, GroupFailedError, ReproError
 from repro.io.blif import write_blif
@@ -267,3 +269,83 @@ class TestBatchIsolation:
         )
         for a, b in zip(solo, results):
             assert write_blif(a.network) == write_blif(b.network)
+
+    def test_fail_fast_cancels_the_queued_groups_of_every_network(
+        self, monkeypatch
+    ):
+        # rd53 owns ordinals 0-2, misex1 3-6 and 5xp1 7-12.  rd53's first
+        # group fails for good while misex1's first group holds the one
+        # worker; the raise must cancel the groups still queued behind it,
+        # not only rd53's own.
+        futures = spy_futures(monkeypatch)
+        plan = FaultPlan(specs=(
+            FaultSpec("drop", group=0, attempts=None),
+            FaultSpec("delay", group=3, seconds=2.0),
+        ))
+        with pytest.raises(GroupFailedError):
+            synthesize_batch(
+                [bench("rd53"), bench("misex1"), bench("5xp1")],
+                FlowConfig(
+                    executor="process", jobs=1, task_retries=0,
+                    degrade_to_serial=False, fault_plan=plan,
+                ),
+            )
+        assert len(futures) == 13
+        assert not queued(futures)
+        shutdown_pool(force=True)  # stop the delayed group still running
+
+    def test_prepare_failure_is_isolated(self, monkeypatch):
+        nets = [bench("rd53"), bench("misex1"), bench("5xp1")]
+        solo = [synthesize(net, FlowConfig()) for net in nets]
+        fail_to_prepare(monkeypatch, nets[1])
+        results = synthesize_batch(
+            nets, FlowConfig(executor="process", jobs=2), fail_fast=False
+        )
+        assert isinstance(results[1], ReproError)
+        assert "cannot prepare" in str(results[1])
+        for i in (0, 2):
+            assert write_blif(results[i].network) == write_blif(
+                solo[i].network
+            )
+
+    def test_prepare_failure_under_fail_fast_cancels_queued_groups(
+        self, monkeypatch
+    ):
+        nets = [bench("rd53"), bench("misex1"), bench("5xp1")]
+        futures = spy_futures(monkeypatch)
+        fail_to_prepare(monkeypatch, nets[1])
+        with pytest.raises(ReproError, match="cannot prepare"):
+            synthesize_batch(nets, FlowConfig(executor="process", jobs=2))
+        assert not queued(futures)
+
+
+def spy_futures(monkeypatch) -> list:
+    """Record every future the process executor hands out."""
+    futures = []
+    real = ProcessExecutor._pool_submit
+
+    def submit(self, payload):
+        futures.append(real(self, payload))
+        return futures[-1]
+
+    monkeypatch.setattr(ProcessExecutor, "_pool_submit", submit)
+    return futures
+
+
+def queued(futures) -> list:
+    """The futures still waiting for a worker: not done, cancelled or running."""
+    return [f for f in futures if not (f.done() or f.running())]
+
+
+def fail_to_prepare(monkeypatch, network) -> None:
+    """Make ``prepare_synthesis`` raise a ReproError for one network."""
+    import repro.mapping.flow as flow_mod
+
+    real = flow_mod.prepare_synthesis
+
+    def prepare(net, config):
+        if net is network:
+            raise ReproError("cannot prepare this circuit")
+        return real(net, config)
+
+    monkeypatch.setattr(flow_mod, "prepare_synthesis", prepare)

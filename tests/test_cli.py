@@ -336,7 +336,8 @@ class TestReliabilityCli:
         faulty = tmp_path / "faulty.blif"
         assert main(["synth", str(rd53_file), "-o", str(serial)]) == 0
         rc = main(["synth", str(rd53_file), "--executor", "process",
-                   "--jobs", "2", "--inject-faults", "kill@0,drop@1",
+                   "--jobs", "2",
+                   "--inject-faults", "kill@0,drop@1,delay=0.1@2",
                    "--report", str(tmp_path / "r.json"),
                    "-o", str(faulty)])
         assert rc == 0
@@ -344,7 +345,7 @@ class TestReliabilityCli:
         payload = validate_report(
             json.loads((tmp_path / "r.json").read_text())
         )
-        assert payload["engine"]["faults_injected"] >= 2
+        assert payload["engine"]["faults_injected"] >= 3
         assert payload["failures"]  # structured per-attempt records
 
     def test_abort_checkpoint_resume_round_trip(

@@ -9,7 +9,9 @@ the truth-table limit, so its bound sets are scored on the BDD route.
 
 The executor cells map the same circuits on the process pool, through the
 serial executor's portable path (checkpoint file, warm result cache) and
-as one process batch: every executor must emit the same bytes.  Naming the
+as one pipelined process batch of all four circuits (one or two workers,
+fault-free, with a worker kill, and under a seeded-random fault plan):
+every executor must emit the same bytes.  Naming the
 default target explicitly (``--target xc3000-clb``) must not change them
 either.
 """
@@ -23,8 +25,10 @@ from repro import observe
 from repro.algebraic.rugged import rugged
 from repro.benchcircuits import get_circuit
 from repro.engine import synthesize_batch
+from repro.engine.executors import ProcessExecutor
+from repro.engine.faults import FaultPlan, FaultSpec
 from repro.io.blif import write_blif
-from repro.mapping.flow import FlowConfig, synthesize
+from repro.mapping.flow import FlowConfig, prepare_synthesis, synthesize
 from repro.mapping.structural import synthesize_structural
 from repro.observe import Tracer
 
@@ -120,10 +124,40 @@ def test_executor_cells(name, cell, tmp_path):
         assert result.engine_stats.cache_misses == 0
 
 
-def test_process_batch():
-    names = ["rd53", "misex1"]
+def batch_fault_plan(cell: str, group_counts: list[int]) -> FaultPlan | None:
+    """The fault plan one batch cell runs under."""
+    if cell == "kill-last":  # the first group of the last network
+        return FaultPlan(specs=(FaultSpec("kill", sum(group_counts[:-1])),))
+    if cell == "seeded":
+        return FaultPlan(seed=3, kills=2, delays=1, delay_seconds=0.01)
+    return None
+
+
+@pytest.mark.parametrize("cell", ["plain", "kill-last", "seeded"])
+@pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
+def test_process_batch(jobs, cell, monkeypatch):
+    # The pipelined batch submits each network's groups before preparing
+    # the next one; a seeded-random plan still samples its ordinals from
+    # the whole batch's group count.
+    names = list(GOLDEN)
+    networks = [get_circuit(name).build() for name in names]
+    group_counts = [
+        len(prepare_synthesis(n, FlowConfig(k=5)).groups) for n in networks
+    ]
+    plan = batch_fault_plan(cell, group_counts)
+    armed = []
+    real_submit = ProcessExecutor._pool_submit
+
+    def submit(self, payload):
+        if payload.fault is not None:
+            armed.append(payload.fault)
+        return real_submit(self, payload)
+
+    monkeypatch.setattr(ProcessExecutor, "_pool_submit", submit)
     results = synthesize_batch(
-        [get_circuit(name).build() for name in names],
-        FlowConfig(k=5, executor="process", jobs=2),
+        networks,
+        FlowConfig(k=5, executor="process", jobs=jobs, fault_plan=plan),
     )
     assert [digest(r) for r in results] == [GOLDEN[name] for name in names]
+    expected = plan.resolve(sum(group_counts)).specs if plan else ()
+    assert Counter(armed) == Counter(expected)
