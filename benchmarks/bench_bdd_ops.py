@@ -1,41 +1,24 @@
 """Substrate microbenchmarks: the BDD operations behind the implicit algorithm.
 
-Every workload runs on both manager backends (``object`` reference vs the
-``arena`` numpy store, see ``docs/ENGINE.md``) and the JSON artifact carries
-one row per (workload, backend) with an explicit per-workload speedup.
-
-The headline ``geomean_speedup`` is computed over the **large-apply suite**
--- the adder-carry family at 16/18/20 bits, whose managers reach the
-10^5..10^6-node regime of the flow's hot spots (collapsing rot/C5315/des).
-That is the regime the arena backend exists for; the smaller general
-workloads (restrict/exists sweeps, satcount, subset thresholds) are
-reported with their own speedups, which are lower, and folded into the
-separate ``geomean_speedup_all``.
+The JSON artifact carries one row per workload.  The ``large_apply`` suite
+-- the adder-carry family at 16/18/20 bits -- builds managers in the
+10^5..10^7-node regime of the flow's hot spots (collapsing rot/C5315/des);
+the ``general`` suite covers the smaller workloads (restrict/exists sweeps,
+satcount, subset thresholds, composition).
 
 Includes a scaling check of the ``subset(delta, l)`` threshold construction
 (Fig. 4), whose cost the paper states as O(delta * l) BDD operations.
 """
 
-import math
-
 import pytest
 
 from benchmarks.conftest import QUICK, emit, json_row, reset_results, write_json
-from repro.bdd.backend import make_manager
-from repro.bdd.manager import FALSE
+from repro.bdd.manager import BDD, FALSE
 from repro.bdd.satcount import satcount
 from repro.imodec.chi import threshold_at_least
 from repro.imodec.zspace import ZSpace
 
 MODULE = "bdd_ops"
-
-BACKENDS = ("object", "arena")
-
-#: Workload -> backend -> seconds, for the summary speedup table.
-_cpu: dict[str, dict[str, float]] = {}
-
-#: Names belonging to the large-apply suite (the headline geomean).
-_LARGE_APPLY: set[str] = set()
 
 LARGE_BITS = [14] if QUICK else [16, 18, 20]
 
@@ -43,45 +26,20 @@ LARGE_BITS = [14] if QUICK else [16, 18, 20]
 @pytest.fixture(scope="module", autouse=True)
 def _report():
     reset_results(MODULE)
-    emit(MODULE, "== BDD substrate microbenchmarks (object vs arena) ==")
+    emit(MODULE, "== BDD substrate microbenchmarks (* = large-apply suite) ==")
+    emit(MODULE, f"{'workload':>26} | {'cpu':>9} | {'nodes':>9}")
     yield
-    speedups = {
-        name: by["object"] / by["arena"]
-        for name, by in _cpu.items()
-        if by.get("arena") and by.get("object")
-    }
-    if not speedups:
-        write_json(MODULE)
-        return
-
-    def geomean(values):
-        return math.exp(sum(map(math.log, values)) / len(values))
-
-    large = [s for n, s in speedups.items() if n in _LARGE_APPLY]
-    emit(MODULE, f"{'workload':>26} | {'object':>9} {'arena':>9} | speedup")
-    for name, s in speedups.items():
-        by = _cpu[name]
-        tag = " *" if name in _LARGE_APPLY else ""
-        emit(MODULE, f"{name:>26} | {by['object']:>8.3f}s {by['arena']:>8.3f}s "
-                     f"| {s:>6.2f}x{tag}")
-    summary = {"geomean_speedup_all": round(geomean(list(speedups.values())), 2)}
-    if large:
-        summary["geomean_speedup"] = round(geomean(large), 2)
-        emit(MODULE, f"  large-apply suite (*) geomean speedup: "
-                     f"{summary['geomean_speedup']:.2f}x "
-                     f"(all workloads: {summary['geomean_speedup_all']:.2f}x)")
-    write_json(MODULE, **summary)
+    write_json(MODULE)
 
 
-def _record(name, backend, cpu, bdd, large=False, **extra):
-    _cpu.setdefault(name, {})[backend] = cpu
-    if large:
-        _LARGE_APPLY.add(name)
+def _record(name, cpu, bdd, large=False):
     stats = bdd.cache_stats()
-    json_row(MODULE, name=name, backend=backend, cpu_s=round(cpu, 3),
+    tag = " *" if large else ""
+    emit(MODULE, f"{name:>26} | {cpu:>8.3f}s | {stats['nodes']:>9}{tag}")
+    json_row(MODULE, name=name, cpu_s=round(cpu, 3),
              bdd_nodes=stats["nodes"],
              cache_hit_rate=round(stats["hit_rate"], 4),
-             suite="large_apply" if large else "general", **extra)
+             suite="large_apply" if large else "general")
 
 
 def build_adder_carry(bdd, bits):
@@ -95,82 +53,75 @@ def build_adder_carry(bdd, bits):
     return carry
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("bits", [8, 12])
-def test_bench_adder_carry(benchmark, bits, backend):
+def test_bench_adder_carry(benchmark, bits):
     def build():
-        bdd = make_manager(backend)
+        bdd = BDD()
         return bdd, build_adder_carry(bdd, bits)
 
     bdd, carry = benchmark(build)
     assert len(bdd.support(carry)) == 2 * bits
-    _record(f"adder_carry_{bits}", backend, benchmark.stats.stats.min, bdd)
+    _record(f"adder_carry_{bits}", benchmark.stats.stats.min, bdd)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("bits", LARGE_BITS)
-def test_bench_adder_carry_large(benchmark, bits, backend):
+def test_bench_adder_carry_large(benchmark, bits):
     """The large-apply suite: managers in the flow's hot-spot regime."""
 
     def build():
-        bdd = make_manager(backend)
+        bdd = BDD()
         return bdd, build_adder_carry(bdd, bits)
 
     bdd, carry = benchmark.pedantic(build, rounds=1, iterations=1)
     assert len(bdd.support(carry)) == 2 * bits
-    _record(f"adder_carry_{bits}", backend, benchmark.stats.stats.min, bdd,
-            large=True)
+    _record(f"adder_carry_{bits}", benchmark.stats.stats.min, bdd, large=True)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bench_restrict_sweep(benchmark, backend):
+def test_bench_restrict_sweep(benchmark):
     """Single-level restricts over a large function (cofactor grouping)."""
     bits = 12 if QUICK else 16
 
     def run():
-        bdd = make_manager(backend)
+        bdd = BDD()
         carry = build_adder_carry(bdd, bits)
         for lvl in range(0, 2 * bits, 3):
             bdd.restrict(carry, {lvl: lvl % 2 == 0})
         return bdd
 
     bdd = benchmark.pedantic(run, rounds=1, iterations=1)
-    _record(f"restrict_sweep_a{bits}", backend, benchmark.stats.stats.min, bdd)
+    _record(f"restrict_sweep_a{bits}", benchmark.stats.stats.min, bdd)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bench_exists_sweep(benchmark, backend):
+def test_bench_exists_sweep(benchmark):
     """Existential quantification over a large function."""
     bits = 12 if QUICK else 16
 
     def run():
-        bdd = make_manager(backend)
+        bdd = BDD()
         carry = build_adder_carry(bdd, bits)
         for lvl in range(0, 2 * bits, 4):
             bdd.exists(carry, [lvl])
         return bdd
 
     bdd = benchmark.pedantic(run, rounds=1, iterations=1)
-    _record(f"exists_sweep_a{bits}", backend, benchmark.stats.stats.min, bdd)
+    _record(f"exists_sweep_a{bits}", benchmark.stats.stats.min, bdd)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("n", [16, 20])
-def test_bench_satcount_parity(benchmark, n, backend):
-    bdd = make_manager(backend)
+def test_bench_satcount_parity(benchmark, n):
+    bdd = BDD()
     f = FALSE
     for i in range(n):
         f = bdd.apply_xor(f, bdd.add_var(f"x{i}"))
     count = benchmark(lambda: satcount(bdd, f, range(n)))
     assert count == 1 << (n - 1)
-    _record(f"satcount_parity_{n}", backend, benchmark.stats.stats.min, bdd)
+    _record(f"satcount_parity_{n}", benchmark.stats.stats.min, bdd)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("l,delta", [(16, 4), (32, 8), (64, 16)])
-def test_bench_subset_threshold(benchmark, l, delta, backend):
+def test_bench_subset_threshold(benchmark, l, delta):
     """subset(delta, l) of Fig. 4: O(delta * l) BDD operations."""
-    zspace = ZSpace(l, backend=backend)
+    zspace = ZSpace(l)
     lits = [zspace.bdd.var(i) for i in range(l)]
 
     node = benchmark(lambda: threshold_at_least(zspace, lits, delta))
@@ -179,16 +130,15 @@ def test_bench_subset_threshold(benchmark, l, delta, backend):
 
     expected = sum(comb(l, k) for k in range(delta, l + 1))
     assert zspace.count(node) == expected
-    _record(f"subset_threshold_d{delta}_l{l}", backend,
-            benchmark.stats.stats.min, zspace.bdd)
+    _record(f"subset_threshold_d{delta}_l{l}", benchmark.stats.stats.min,
+            zspace.bdd)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bench_compose_chain(benchmark, backend):
+def test_bench_compose_chain(benchmark):
     """Vector composition of the kind used by decomposition verification."""
-    bdd = make_manager(backend)
+    bdd = BDD()
     xs = [bdd.add_var(f"x{i}") for i in range(12)]
     f = bdd.conjoin(bdd.apply_xor(xs[i], xs[i + 1]) for i in range(11))
     sub = {i: bdd.apply_and(xs[(i + 1) % 12], xs[(i + 2) % 12]) for i in range(6)}
     benchmark(lambda: bdd.compose(f, sub))
-    _record("compose_chain", backend, benchmark.stats.stats.min, bdd)
+    _record("compose_chain", benchmark.stats.stats.min, bdd)

@@ -31,7 +31,6 @@ from benchmarks.conftest import (
 )
 from repro.algebraic.rugged import rugged
 from repro.benchcircuits import get_circuit
-from repro.io.blif import write_blif
 from repro.mapping.flow import FlowConfig, verify_flow_sim
 from repro.mapping.structural import synthesize_structural
 from repro.mapping.xc3000 import pack_xc3000
@@ -57,7 +56,7 @@ def _report():
     emit(MODULE, "== Table 2: XC3000 CLBs, rugged-prestructured networks "
                  f"({'quick subset' if QUICK else 'full set'}) ==")
     emit(MODULE, f"{'net':>8} | {'r+IMODEC':>8} {'r+FGMap':>8} | "
-                 f"{'paper-I':>7} {'paper-F':>7} | {'CPU/s':>7} {'arena/s':>7}")
+                 f"{'paper-I':>7} {'paper-F':>7} | {'CPU/s':>7}")
     yield
     if not _rows:
         return
@@ -102,27 +101,17 @@ def test_table2_rugged_circuit(benchmark, name):
     cpu = time.perf_counter() - start
     single = synthesize_structural(pre, FlowConfig(k=5, mode="single"))
 
-    # Same mapping on the arena backend: byte-identical netlist (so the
-    # CLB count is identical by construction) at its own wall-clock.
-    start = time.perf_counter()
-    multi_arena = synthesize_structural(
-        pre, FlowConfig(k=5, mode="multi", bdd_backend="arena")
-    )
-    cpu_arena = time.perf_counter() - start
-    assert write_blif(multi_arena.network) == write_blif(multi.network)
-
     assert verify_flow_sim(original, multi, num_random=64)
     assert verify_flow_sim(original, single, num_random=64)
 
     clb_multi = pack_xc3000(multi.network).num_clbs
     clb_single = pack_xc3000(single.network).num_clbs
-    assert pack_xc3000(multi_arena.network).num_clbs == clb_multi
 
     paper = circuit.paper
     _rows.append(dict(name=name, multi=clb_multi, single=clb_single))
     emit(MODULE, f"{name:>8} | {clb_multi:>8} {clb_single:>8} | "
                  f"{fmt(paper.r_imodec_clb)} {fmt(paper.r_fgmap_clb)} | "
-                 f"{cpu:>7.1f} {cpu_arena:>7.1f}")
+                 f"{cpu:>7.1f}")
     stats = multi.bdd_stats
     json_row(
         MODULE,
@@ -130,7 +119,6 @@ def test_table2_rugged_circuit(benchmark, name):
         clb_multi=clb_multi,
         clb_single=clb_single,
         cpu_s=round(cpu, 2),
-        cpu_arena_s=round(cpu_arena, 2),
         bdd_nodes=stats.nodes,
         cache_hit_rate=round(stats.hit_rate, 4),
         cache_entries=stats.entries,

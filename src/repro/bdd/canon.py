@@ -272,7 +272,7 @@ def _rebuild_bytes(
 ) -> bytes | None:
     """Serialize the transformed vector, rebuilt in canonical variable order.
 
-    A fresh object-backend scratch manager hosts variables ``x0..x(n-1)``
+    A fresh scratch manager hosts variables ``x0..x(n-1)``
     in canonical order; the caller's DAG is transferred bottom-up with
     ``ite``, folding the input/output phases in.  ROBDD canonicity then
     makes the serialization a function of the transformed vector alone.

@@ -101,9 +101,6 @@ class BDD:
         assert bdd.eval(f, {0: True, 1: False})
     """
 
-    #: Registry name of this implementation (see :mod:`repro.bdd.backend`).
-    backend_name = "object"
-
     def __init__(self, cache_limit: int = DEFAULT_CACHE_LIMIT) -> None:
         # Parallel node arrays indexed by node index (edge >> 1); slot 0 is
         # the terminal.  Its children point at itself so edge traversal of a
@@ -216,8 +213,8 @@ class BDD:
     def mk(self, level: int, low: int, high: int) -> int:
         """Public canonical find-or-create (the transfer/import seam).
 
-        Both backends expose this so :mod:`repro.bdd.transfer` can
-        materialize nodes without reaching into implementation internals.
+        :mod:`repro.bdd.transfer` materializes nodes through it without
+        reaching into the manager's internals.
         """
         return self._mk(level, low, high)
 

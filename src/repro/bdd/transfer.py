@@ -52,10 +52,7 @@ def export_dag(bdd: BDD, roots: Sequence[int]) -> PortableDag:
 
     Only the reachable subgraph is exported.  Variable names are exported
     for *all* levels up to the manager's current count so the import side
-    reproduces identical level numbering (levels are positional).  ``bdd``
-    may be any backend (the walk uses only the shared manager API), and
-    export/import across *different* backends is exact: both sides share
-    the same canonical form.
+    reproduces identical level numbering (levels are positional).
     """
     # Map manager node index -> local index (0 = terminal), children first.
     local: dict[int, int] = {0: 0}

@@ -38,12 +38,6 @@ workers are separate subcommands::
     python -m repro.cli worker --broker 127.0.0.1:8378
     python -m repro.cli synth design.pla --executor remote --broker 127.0.0.1:8378
 
-``--bdd-backend`` picks the BDD manager implementation: ``object``
-(default, the reference dict-of-nodes manager) or ``arena`` (a flat numpy
-node store with iterative integer kernels; requires numpy, exit code 2
-when missing).  Both backends are canonical-form identical and emit
-byte-identical BLIF; see ``docs/ENGINE.md``.
-
 Observability: ``--report FILE`` writes a machine-readable JSON run report
 (per-phase wall-clock, BDD node and cache deltas, IMODEC iteration counts,
 and the engine's task counters; see ``docs/OBSERVABILITY.md``), ``--trace``
@@ -74,7 +68,6 @@ from pathlib import Path
 
 from repro import observe
 from repro.algebraic.rugged import rugged
-from repro.bdd.backend import BACKEND_NAMES, DEFAULT_BACKEND, BackendUnavailable
 from repro.engine import parse_fault_plan, synthesize_batch
 from repro.engine.executors import request_cancel, reset_cancel, shutdown_pool
 from repro.errors import (
@@ -197,7 +190,6 @@ def _make_config(args: argparse.Namespace) -> FlowConfig:
         jobs=args.jobs,
         executor=args.executor,
         broker=getattr(args, "broker", None),
-        bdd_backend=args.bdd_backend,
         task_timeout=args.task_timeout,
         task_retries=args.task_retries,
         fault_plan=fault_plan,
@@ -269,7 +261,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 "structural": bool(args.structural),
                 "rugged": bool(args.rugged),
                 "jobs": args.jobs,
-                "bdd_backend": config.bdd_backend,
                 "verified": bool(ok) and error is None,
                 "wall_clock_seconds": elapsed,
             }
@@ -536,11 +527,6 @@ def _add_flow_options(cmd: argparse.ArgumentParser) -> None:
                           "with 'repro worker')")
     cmd.add_argument("--jobs", type=int, default=1,
                      help="engine worker processes (--executor process)")
-    cmd.add_argument("--bdd-backend", choices=list(BACKEND_NAMES),
-                     default=DEFAULT_BACKEND,
-                     help="BDD manager implementation: object (reference) or "
-                          "arena (flat numpy node store with iterative "
-                          "kernels; same BLIF bytes, faster on large managers)")
     cmd.add_argument("--strict", action="store_true",
                      help="strict (one-code-per-class) decomposition baseline")
     cmd.add_argument("--report", metavar="FILE",
@@ -697,9 +683,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BackendUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

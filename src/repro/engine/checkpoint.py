@@ -52,10 +52,6 @@ _NON_SEMANTIC_FIELDS = frozenset(
         # The broker address is pure transport: a remote run resumes a
         # serial checkpoint (and vice versa) to byte-identical output.
         "broker",
-        # Both BDD backends emit byte-identical networks (the PR 5
-        # equivalence guarantee, enforced by CI), so checkpoint files and
-        # cache entries are shareable across them.
-        "bdd_backend",
         "fault_plan",
         "task_timeout",
         "task_retries",

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
+from repro.bdd.manager import BDD
 from repro.bdd.transfer import PortableDag, import_dag
 from repro.engine.faults import FaultSpec, perform_fault
 
@@ -81,7 +82,6 @@ def run_group(payload: GroupPayload) -> GroupResult:
     The entry point of every portable group run: pool and remote workers
     call it, and so does the serial executor's in-process future.
     """
-    from repro.bdd.backend import make_manager
     from repro.engine.emitter import EmitContext, VectorEmitter
     from repro.engine.executors import drain_groups
     from repro.engine.policies import make_policy
@@ -99,7 +99,7 @@ def run_group(payload: GroupPayload) -> GroupResult:
         resume_from=None,
         cache_db=None,  # the parent owns the single store connection
     )
-    bdd = make_manager(payload.config.bdd_backend)
+    bdd = BDD()
     roots = import_dag(bdd, payload.dag)
 
     lut = Network("worker")

@@ -264,14 +264,7 @@ def _decompose_multi_impl(
         for part in local_parts
     ]
 
-    # The z-space is a throwaway scratch manager holding a few thousand
-    # nodes over the positional-set variables -- far below the regime where
-    # the arena's vectorized kernels pay for their per-call setup (see the
-    # subset_threshold row of bench_bdd_ops).  The flow constructs one per
-    # decomposition attempt, so it stays on the object manager regardless
-    # of the outer manager's backend; the decomposition it returns is
-    # semantic (codes and truth tables), so results are unchanged.
-    zspace = ZSpace(p, backend="object")
+    zspace = ZSpace(p)
 
     # Per-output state: current partial partition as blocks of local-class
     # pieces.  A block is a list of frozensets of global ids (one per local

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.bdd.backend import DEFAULT_BACKEND, make_manager
+from repro.bdd.manager import BDD
 from repro.bdd.satcount import satcount
 from repro.boolfunc.truthtable import TruthTable
 from repro.decompose.partitions import Partition
@@ -22,11 +22,11 @@ from repro.imodec.globalpart import constructable_table
 class ZSpace:
     """BDD manager over the ``p`` positional-set variables ``z_0 .. z_{p-1}``."""
 
-    def __init__(self, num_classes: int, backend: str = DEFAULT_BACKEND) -> None:
+    def __init__(self, num_classes: int) -> None:
         if num_classes < 1:
             raise ValueError("need at least one global class")
         self.p = num_classes
-        self.bdd = make_manager(backend)
+        self.bdd = BDD()
         for i in range(num_classes):
             self.bdd.add_var(f"z{i}")
         self.levels = list(range(num_classes))

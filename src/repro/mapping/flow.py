@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from repro import observe
-from repro.bdd.backend import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.bdd.manager import FALSE, TRUE
 from repro.engine import EXECUTORS, Engine, EngineStats
 from repro.engine.faults import FaultPlan
@@ -69,7 +68,6 @@ class FlowConfig:
     policy: str = "ladder-peel"  # decomposition heuristic (engine.policies)
     ladder_cap: int = 12  # hard ceiling of the bound-size ladder
     peel_rounds: int = 3  # lone-output peel rounds per vector
-    bdd_backend: Literal["object", "arena"] = DEFAULT_BACKEND
 
     # -- reliability (every executor; see docs/RELIABILITY.md) ----------
     task_timeout: float | None = None  # per-group wall-clock ceiling (s)
@@ -117,11 +115,6 @@ class FlowConfig:
             raise ValueError("ladder_cap below k leaves no ladder at all")
         if self.peel_rounds < 0:
             raise ValueError("peel_rounds must be >= 0")
-        if self.bdd_backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown bdd backend {self.bdd_backend!r} "
-                f"(have: {list(BACKEND_NAMES)})"
-            )
         if self.executor == "remote" and self.broker is None:
             raise ValueError(
                 "executor 'remote' needs a broker address "
@@ -217,7 +210,7 @@ class PreparedRun:
 def prepare_synthesis(network: Network, config: FlowConfig) -> PreparedRun:
     """Collapse a network and partition its outputs into engine groups."""
     with observe.span("collapse"):
-        collapsed = collapse(network, backend=config.bdd_backend)
+        collapsed = collapse(network)
         observe.watch(collapsed.bdd)
     bdd = collapsed.bdd
 

@@ -26,7 +26,6 @@ rows equal the collapsed-flow results.
 from __future__ import annotations
 
 from repro import observe
-from repro.bdd.backend import make_manager
 from repro.bdd.manager import BDD, FALSE, TRUE
 from repro.engine import Engine
 from repro.mapping.flow import FlowConfig, FlowResult
@@ -53,7 +52,6 @@ def _build_rep(bdd: BDD, cover, fanin_reps: list[int]) -> int:
 def partial_collapse(
     network: Network,
     max_support: int = 16,
-    backend: str = "object",
 ) -> tuple[BDD, dict[int, str], list[tuple[str, int]], dict[str, int]]:
     """Collapse a network up to a support cap.
 
@@ -63,7 +61,7 @@ def partial_collapse(
     then any remaining logic feeding the outputs), and ``rep`` maps every
     network signal to its function over the frontier.
     """
-    bdd = make_manager(backend)
+    bdd = BDD()
     rep: dict[str, int] = {}
     frontier: dict[int, str] = {}
     items: list[tuple[str, int]] = []
@@ -145,9 +143,7 @@ def synthesize_structural(
     """Map a multi-level network to LUTs via partial collapse."""
     config = config or FlowConfig()
     with observe.span("partial_collapse"):
-        bdd, frontier, items, rep = partial_collapse(
-            network, max_cluster_inputs, backend=config.bdd_backend
-        )
+        bdd, frontier, items, rep = partial_collapse(network, max_cluster_inputs)
         observe.watch(bdd)
         observe.add("clusters", len(items))
 

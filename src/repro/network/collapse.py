@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bdd.backend import DEFAULT_BACKEND, make_manager
 from repro.bdd.manager import BDD, FALSE, TRUE
 from repro.network.network import Network
 
@@ -34,19 +33,13 @@ class CollapsedNetwork:
         return sorted(self.input_levels, key=self.input_levels.get)
 
 
-def collapse(
-    network: Network,
-    max_nodes: int | None = None,
-    backend: str = DEFAULT_BACKEND,
-) -> CollapsedNetwork:
+def collapse(network: Network, max_nodes: int | None = None) -> CollapsedNetwork:
     """Build a BDD per primary output over the primary inputs.
 
     ``max_nodes`` bounds the total manager size; exceeding it raises
     :class:`CollapseOverflow` (the "could not be collapsed" case of Table 2).
-    ``backend`` names the BDD implementation (:mod:`repro.bdd.backend`);
-    both produce structurally identical diagrams.
     """
-    bdd = make_manager(backend)
+    bdd = BDD()
     values: dict[str, int] = {}
     input_levels: dict[str, int] = {}
     for name in network.inputs:

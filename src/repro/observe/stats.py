@@ -5,16 +5,11 @@ of manager counters and every consumer (benchmark JSON emitters, run
 reports, tests) re-spelled the key set by hand.  :class:`BddStats` is the
 one schema: construct it from a manager with :meth:`BddStats.from_manager`,
 serialize it with :meth:`BddStats.as_dict`.
-
-Backends report through the same core counter set (``cache_stats()``), so
-the schema is backend-independent; the arena backend additionally exposes
-its store geometry and kernel-dispatch counters (``arena_stats()``), which
-ride along in the ``arena`` field when present.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -25,12 +20,8 @@ class BddStats:
         nodes: total nodes ever allocated (including the terminal).
         entries: live memoized entries in the operation cache.
         hits / misses / evictions: lifetime cache counters (``evictions``
-            counts dict-cache drops on the object backend and fixed-slot
-            overwrites on the arena backend).
+            counts the times the bounded cache dropped its oldest half).
         hit_rate: ``hits / (hits + misses)``, 0.0 before any lookup.
-        backend: registry name of the manager implementation.
-        arena: arena-backend internals (growths, rehashes, table load,
-            scalar/vector kernel dispatch), empty for the object backend.
     """
 
     nodes: int = 0
@@ -39,35 +30,19 @@ class BddStats:
     misses: int = 0
     evictions: int = 0
     hit_rate: float = 0.0
-    backend: str = "object"
-    arena: dict = field(default_factory=dict)
 
     @classmethod
     def from_manager(cls, bdd) -> "BddStats":
-        """Snapshot any backend's counters (object or arena manager)."""
-        arena_stats = getattr(bdd, "arena_stats", None)
-        return cls(
-            backend=getattr(bdd, "backend_name", "object"),
-            arena=arena_stats() if arena_stats is not None else {},
-            **bdd.cache_stats(),
-        )
+        """Snapshot a manager's counters."""
+        return cls(**bdd.cache_stats())
 
     def as_dict(self) -> dict:
-        """Plain-JSON form (the historical ``FlowResult.bdd_stats`` dict).
-
-        The ``arena`` key appears only when the backend recorded arena
-        internals, so object-backend payloads keep their historical shape
-        plus the ``backend`` discriminator.
-        """
-        payload = {
+        """Plain-JSON form (the historical ``FlowResult.bdd_stats`` dict)."""
+        return {
             "nodes": self.nodes,
             "entries": self.entries,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
-            "backend": self.backend,
         }
-        if self.arena:
-            payload["arena"] = dict(self.arena)
-        return payload

@@ -39,8 +39,6 @@ DEFAULT_TARGETS = (
     "src/repro/serve",
     "src/repro/targets",
     "src/repro/bdd/transfer.py",
-    "src/repro/bdd/arena.py",
-    "src/repro/bdd/backend.py",
     "src/repro/bdd/canon.py",
 )
 

@@ -2,7 +2,7 @@
 
 The contract under test (see ``docs/CACHING.md``): a warm run over the
 same circuit hits on every group and emits **byte-identical** BLIF, under
-either executor and either BDD backend; an NPN-equivalent circuit hits
+either executor; an NPN-equivalent circuit hits
 through the de-canonicalizing rewrite and still verifies; and a poisoned
 store entry is rejected by verification, never trusted.
 """
@@ -40,11 +40,9 @@ def ones_count_network(n, bits):
     return network_from_tables(tables, name=f"rd{n}{bits}")
 
 
-def config(db, executor="serial", backend="object"):
+def config(db, executor="serial"):
     jobs = 2 if executor == "process" else 1
-    return FlowConfig(
-        k=4, cache_db=db, executor=executor, jobs=jobs, bdd_backend=backend
-    )
+    return FlowConfig(k=4, cache_db=db, executor=executor, jobs=jobs)
 
 
 class TestWarmRunsAreByteIdentical:
@@ -66,30 +64,17 @@ class TestWarmRunsAreByteIdentical:
         assert warm.engine_stats.cache_rejects == 0
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_backends_share_one_cache(self, tmp_path, executor):
-        # PR 5 guarantees both backends emit byte-identical networks, so
-        # an arena run must warm fully from an object-backend cache.
-        pytest.importorskip("numpy")
-        db = str(tmp_path / "cache.db")
-        net = ones_count_network(5, 3)
-
-        cold = synthesize(net, config(db, backend="object"))
-        warm = synthesize(net, config(db, executor, backend="arena"))
-
-        assert write_blif(warm.network) == write_blif(cold.network)
-        assert warm.engine_stats.cache_misses == 0
-        assert warm.engine_stats.cache_hits == cold.engine_stats.cache_stores
-
-    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_rugged_misex1_warm_run(self, tmp_path, executor):
         db = str(tmp_path / "cache.db")
         net = get_circuit("misex1").build()
         rugged(net)
+        plain = write_blif(synthesize(net, FlowConfig(k=4)).network)
 
         cold = synthesize(net, config(db))
         warm = synthesize(net, config(db, executor))
 
-        assert write_blif(warm.network) == write_blif(cold.network)
+        assert write_blif(cold.network) == plain
+        assert write_blif(warm.network) == plain
         assert verify_flow(net, warm)
         assert warm.engine_stats.cache_misses == 0
         assert warm.engine_stats.cache_hits == cold.engine_stats.cache_stores

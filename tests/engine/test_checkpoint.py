@@ -60,6 +60,13 @@ class TestConfigDigest:
         assert config_digest(FlowConfig(mode="single")) != base
         assert config_digest(FlowConfig(strict=True)) != base
 
+    def test_digest_is_pinned_across_versions(self):
+        # The digest keys every checkpoint file and prefixes every result
+        # cache key, so files written by earlier versions stay valid only
+        # while these values hold.
+        assert config_digest(FlowConfig()) == "6d25c5e945509b48"
+        assert config_digest(FlowConfig(k=4)) == "0160a3637ff32e03"
+
 
 class TestResultRoundTrip:
     def test_json_round_trip_is_lossless(self):

@@ -225,26 +225,6 @@ class TestFlowConfigValidation:
             config.k = 6
 
 
-class TestBackendParity:
-    """The arena backend must emit byte-identical networks (see ENGINE.md)."""
-
-    @pytest.mark.parametrize("mode", ["multi", "single"])
-    def test_arena_blif_identical(self, mode):
-        pytest.importorskip("numpy")
-        from repro.io.blif import write_blif
-
-        net = ones_count_network(5, 3)
-        obj = synthesize(net, FlowConfig(k=4, mode=mode, bdd_backend="object"))
-        arena = synthesize(net, FlowConfig(k=4, mode=mode, bdd_backend="arena"))
-        assert write_blif(obj.network) == write_blif(arena.network)
-        assert arena.bdd_stats.backend == "arena"
-        assert arena.bdd_stats.arena["capacity"] > 0
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            FlowConfig(bdd_backend="cudd")
-
-
 class TestTypedStats:
     def test_bdd_stats_is_dataclass(self):
         from repro.observe import BddStats
@@ -256,6 +236,4 @@ class TestTypedStats:
         payload = result.bdd_stats.as_dict()
         assert set(payload) == {
             "nodes", "entries", "hits", "misses", "evictions", "hit_rate",
-            "backend",
         }
-        assert payload["backend"] == "object"

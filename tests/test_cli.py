@@ -105,44 +105,6 @@ class TestStrictFlag:
         assert "verified" in capsys.readouterr().out
 
 
-class TestBddBackendFlag:
-    def test_backends_emit_identical_blif(self, pla_file, tmp_path, capsys):
-        pytest.importorskip("numpy")
-        out_obj = tmp_path / "obj.blif"
-        out_arena = tmp_path / "arena.blif"
-        assert main(["synth", str(pla_file), "--bdd-backend", "object",
-                     "-o", str(out_obj)]) == 0
-        assert main(["synth", str(pla_file), "--bdd-backend", "arena",
-                     "-o", str(out_arena)]) == 0
-        assert out_obj.read_bytes() == out_arena.read_bytes()
-
-    def test_arena_report_carries_backend(self, pla_file, tmp_path, capsys):
-        pytest.importorskip("numpy")
-        report_path = tmp_path / "run.json"
-        assert main(["synth", str(pla_file), "--bdd-backend", "arena",
-                     "--report", str(report_path)]) == 0
-        report = json.loads(report_path.read_text())
-        validate_report(report)
-        assert report["meta"]["bdd_backend"] == "arena"
-
-    def test_unknown_backend_rejected_by_argparse(self, pla_file):
-        with pytest.raises(SystemExit):
-            main(["synth", str(pla_file), "--bdd-backend", "cudd"])
-
-    def test_missing_numpy_exits_2(self, pla_file, capsys, monkeypatch):
-        from repro.bdd import backend as backend_mod
-
-        def unavailable(*_args, **_kwargs):
-            raise backend_mod.BackendUnavailable(
-                "bdd backend 'arena' requires numpy"
-            )
-
-        monkeypatch.setitem(backend_mod._FACTORIES, "arena", unavailable)
-        rc = main(["synth", str(pla_file), "--bdd-backend", "arena"])
-        assert rc == 2
-        assert "numpy" in capsys.readouterr().err
-
-
 class TestErrorHandling:
     def test_missing_file(self, capsys):
         assert main(["info", "/nonexistent/file.pla"]) == 2

@@ -1,7 +1,7 @@
 """Golden BLIF digests: the emitted bytes of the reference flows, pinned.
 
 Each digest is the sha256 of ``write_blif`` of the mapped network under the
-default ``FlowConfig(k=5)`` (serial executor, object backend unless noted),
+default ``FlowConfig(k=5)`` (serial executor unless noted),
 the same digests ``perfbench/run.py`` prints per circuit.  A refactor of
 any layer below the flow -- BDD package, bound-set scoring, IMODEC, the
 engine -- must leave every digest unchanged.  vg2 has outputs wider than
@@ -13,11 +13,15 @@ as one pipelined process batch of all four circuits (one or two workers,
 fault-free, with a worker kill, and under a seeded-random fault plan):
 every executor must emit the same bytes.  Naming the
 default target explicitly (``--target xc3000-clb``) must not change them
-either.
+either, and the CLI must emit them in an interpreter without numpy.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +35,8 @@ from repro.io.blif import write_blif
 from repro.mapping.flow import FlowConfig, prepare_synthesis, synthesize
 from repro.mapping.structural import synthesize_structural
 from repro.observe import Tracer
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 GOLDEN = {
     "rd53": "18202d2aa0294ba9a10e87feafb7ec980560627b40e756a6deccf2482c64816f",
@@ -55,11 +61,28 @@ def test_rugged_structural_flow():
     assert digest(synthesize_structural(network, FlowConfig(k=5))) == GOLDEN["misex1"]
 
 
-@pytest.mark.parametrize("name", ["rd53", "misex1"])
-def test_arena_backend(name):
-    pytest.importorskip("numpy")
-    config = FlowConfig(k=5, bdd_backend="arena")
-    assert digest(synthesize(get_circuit(name).build(), config)) == GOLDEN[name]
+# Runs the CLI in an interpreter where ``import numpy`` raises ImportError.
+_CLI_WITHOUT_NUMPY = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    # numpy is no dependency of the package: the CLI must emit the golden
+    # bytes without it.
+    source = tmp_path / "rd53.blif"
+    source.write_text(write_blif(get_circuit("rd53").build()))
+    mapped = tmp_path / "mapped.blif"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_WITHOUT_NUMPY,
+         "synth", str(source), "-o", str(mapped)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(mapped.read_bytes()).hexdigest() == GOLDEN["rd53"]
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
