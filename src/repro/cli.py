@@ -470,9 +470,7 @@ def cmd_broker(args: argparse.Namespace) -> int:
     """Run the remote-executor task broker (see docs/DISTRIBUTED.md)."""
     from repro.engine.remote import BrokerConfig, TaskBroker
 
-    broker = TaskBroker(
-        BrokerConfig(host=args.host, port=args.port, cache_db=args.cache_db)
-    )
+    broker = TaskBroker(BrokerConfig(host=args.host, port=args.port))
     return broker.serve_forever()
 
 
@@ -635,9 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bind address (default 127.0.0.1)")
     broker.add_argument("--port", type=int, default=8378,
                         help="TCP port (default 8378; 0 picks a free port)")
-    broker.add_argument("--cache-db", metavar="FILE",
-                        help="shared persistent result cache consulted by "
-                             "workers through the broker (see docs/CACHING.md)")
     broker.set_defaults(func=cmd_broker)
 
     worker = sub.add_parser(

@@ -9,8 +9,9 @@ that value across *hosts* instead of processes:
   (``repro-remote-task/1`` / ``repro-remote-result/1``) that carry a
   :class:`repro.engine.worker.GroupPayload` to a worker and a
   :class:`repro.engine.worker.GroupResult` back.
-- :mod:`repro.engine.remote.broker` -- a stdlib ``ThreadingHTTPServer``
-  task board (``repro broker``): coordinators post tasks, workers
+- :mod:`repro.engine.remote.broker` -- the task board behind
+  ``repro broker``, on the stdlib HTTP/JSON core :mod:`repro.httpjson`
+  it shares with ``repro serve``: coordinators post tasks, workers
   long-poll for leases, expired leases requeue (dead-host tolerance).
 - :mod:`repro.engine.remote.client` -- the ``urllib`` HTTP client both
   sides use.

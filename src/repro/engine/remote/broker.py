@@ -16,46 +16,40 @@ like any worker death: retry, then degrade to serial.
 Endpoints (all JSON; schemas in :mod:`repro.engine.remote.wire`):
 
 - ``POST /tasks`` -- submit one task envelope; 503 while draining.
-- ``POST /tasks/next`` -- worker poll (body: ``worker``, ``wait``);
-  long-polls up to ``wait`` seconds; ``{"task": null}`` when idle,
-  ``{"draining": true}`` tells workers to exit.
+- ``POST /tasks/next`` -- worker poll (body: ``worker``, ``wait``;
+  see :func:`repro.engine.remote.wire.parse_poll`); long-polls up to
+  ``wait`` seconds; ``{"task": null}`` when idle, ``{"draining": true}``
+  tells workers to exit.
 - ``POST /results`` -- worker posts a result envelope; duplicate or
   unknown ids answer ``{"recorded": false}`` (the lease may have been
   reassigned -- last write loses, first write wins).
 - ``GET /tasks/<id>`` -- coordinator poll: state, requeue count, and
   the result envelope once done.
 - ``DELETE /tasks/<id>`` -- cancel/collect: removes the task outright.
-- ``GET /cache/<key>`` -- shared result-store lookup (``--cache-db``);
-  ok results are recorded automatically under the task's cache key.
 - ``GET /healthz`` / ``GET /stats`` -- liveness and counters.
 
-The board is deliberately memory-only: completed tasks are deleted by
-the coordinator as it collects them, and coordinator-side
-checkpointing (``--checkpoint``) -- not the broker -- is the durability
-story, exactly as for the process executor.
+A malformed body or envelope answers 400.  The board is memory-only
+and caches nothing: the coordinator deletes tasks as it collects them,
+and its own ``--checkpoint`` and ``--cache-db`` are the durability and
+the result cache, exactly as for the process executor.
 """
 
 from __future__ import annotations
 
-import json
-import signal
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.engine.remote.wire import (
-    RESULT_SCHEMA,
     RemoteWireError,
+    parse_poll,
     parse_result,
     parse_task,
+    result_envelope,
     strip_fault,
 )
-
-#: Largest accepted request body -- PortableDags of big circuits are
-#: much larger than serve's job submissions.
-MAX_BODY_BYTES = 64 * 1024 * 1024
+from repro.httpjson import JsonHandler, JsonService
 
 #: Ceiling on one long-poll wait; clients re-poll after this.
 MAX_POLL_WAIT = 30.0
@@ -71,16 +65,10 @@ class BrokerConfig:
     Attributes:
         host: bind address.
         port: TCP port (0 picks a free one).
-        cache_db: shared persistent result store served to workers, if
-            any (see ``docs/CACHING.md``; opened via the never-fatal
-            :func:`repro.cache.store.open_store`).
-        default_lease: lease seconds for task envelopes that carry none.
     """
 
     host: str = "127.0.0.1"
     port: int = 8378
-    cache_db: str | None = None
-    default_lease: float = 60.0
 
 
 @dataclass
@@ -113,135 +101,81 @@ class _Board:
             "leases_granted": 0,
             "lease_expiries": 0,
             "tasks_cancelled": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
         }
     )
     workers_seen: set = field(default_factory=set)
 
 
-class _BrokerHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying a reference to the broker."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    #: Set by :class:`TaskBroker` right after construction.
-    broker: "TaskBroker"
-
-
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     """Request handler translating HTTP onto the task board."""
-
-    server: _BrokerHTTPServer
-    protocol_version = "HTTP/1.1"
-
-    def _send_json(self, status: int, body: dict) -> None:
-        """Serialize one JSON response with correct framing."""
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _error(self, status: int, message: str) -> None:
-        """One-line JSON error body."""
-        self._send_json(status, {"error": message})
-
-    def _read_body(self) -> dict | None:
-        """The request's JSON body, or None after an error response."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._error(400, "bad Content-Length")
-            return None
-        if length <= 0 or length > MAX_BODY_BYTES:
-            self._error(400, "JSON request body required")
-            return None
-        try:
-            return json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._error(400, f"malformed JSON body: {exc}")
-            return None
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         """``POST /tasks``, ``POST /tasks/next``, ``POST /results``."""
-        broker = self.server.broker
-        path = self.path.rstrip("/")
-        body = self._read_body()
+        broker = self.service
+        body = self.read_json()
         if body is None:
             return
         try:
-            if path == "/tasks":
+            if self.route == "/tasks":
                 if broker.draining:
-                    self._error(503, "broker is draining; no new tasks")
+                    self.send_json_error(503, "broker is draining; no new tasks")
                     return
-                self._send_json(202, broker.submit(parse_task(body)))
-            elif path == "/tasks/next":
-                self._send_json(200, broker.next_task(body))
-            elif path == "/results":
-                self._send_json(200, broker.post_result(parse_result(body)))
+                self.send_json(202, broker.submit(parse_task(body)))
+            elif self.route == "/tasks/next":
+                self.send_json(200, broker.next_task(*parse_poll(body)))
+            elif self.route == "/results":
+                self.send_json(200, broker.post_result(parse_result(body)))
             else:
-                self._error(404, f"unknown endpoint {self.path!r}")
+                self.send_json_error(404, f"unknown endpoint {self.path!r}")
         except RemoteWireError as exc:
-            self._error(400, str(exc))
+            self.send_json_error(400, str(exc))
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        """``GET /tasks/<id>``, ``/cache/<key>``, ``/healthz``, ``/stats``."""
-        broker = self.server.broker
-        path = self.path.rstrip("/")
+        """``GET /tasks/<id>``, ``GET /healthz``, ``GET /stats``."""
+        broker = self.service
+        path = self.route
         if path == "/healthz":
             status = "draining" if broker.draining else "ok"
-            self._send_json(503 if broker.draining else 200, {"status": status})
+            self.send_json(503 if broker.draining else 200, {"status": status})
         elif path == "/stats":
-            self._send_json(200, broker.stats())
+            self.send_json(200, broker.stats())
         elif path.startswith("/tasks/"):
-            self._send_json(200, broker.task_status(path[len("/tasks/"):]))
-        elif path.startswith("/cache/"):
-            self._send_json(200, broker.cache_lookup(path[len("/cache/"):]))
+            self.send_json(200, broker.task_status(path[len("/tasks/"):]))
         else:
-            self._error(404, f"unknown endpoint {self.path!r}")
+            self.send_json_error(404, f"unknown endpoint {self.path!r}")
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
         """``DELETE /tasks/<id>``: cancel or collect-and-forget."""
-        broker = self.server.broker
-        path = self.path.rstrip("/")
+        path = self.route
         if path.startswith("/tasks/"):
-            self._send_json(200, broker.cancel(path[len("/tasks/"):]))
+            self.send_json(200, self.service.cancel(path[len("/tasks/"):]))
         else:
-            self._error(404, f"unknown endpoint {self.path!r}")
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence per-request stderr chatter (tests and CI logs)."""
+            self.send_json_error(404, f"unknown endpoint {self.path!r}")
 
 
-class TaskBroker:
+class TaskBroker(JsonService):
     """The long-lived task board behind ``repro broker``.
 
     Construct with a :class:`BrokerConfig`, then either call
     :meth:`serve_forever` (CLI: installs signal handlers, blocks until
     drained) or drive it in-process with :meth:`start` / :meth:`stop`
-    (tests).  All board mutations happen under one condition variable;
-    expired leases are reaped on every poll that observes the board, so
-    no background reaper thread is needed.
+    (tests); the lifecycle is :class:`repro.httpjson.JsonService`'s.
+    All board mutations happen under one condition variable; expired
+    leases are reaped on every poll that observes the board, so no
+    background reaper thread is needed.
     """
 
+    name = "broker"
+    handler = _Handler
+    #: Largest accepted request body -- PortableDags of big circuits
+    #: are much larger than serve's job submissions.
+    max_body_bytes = 64 * 1024 * 1024
+
     def __init__(self, config: BrokerConfig) -> None:
-        """Wire up the board and the optional shared store (nothing binds yet)."""
+        """Wire up the board (nothing binds yet)."""
+        super().__init__(config.host, config.port)
         self.config = config
         self.board = _Board()
-        self.draining = False
-        self._store = None
-        self._httpd: _BrokerHTTPServer | None = None
-        self._serve_thread: threading.Thread | None = None
-        self._drain_lock = threading.Lock()
-        self._drained = threading.Event()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound (host, port) -- valid after :meth:`start`."""
-        assert self._httpd is not None, "broker not started"
-        return self._httpd.server_address[:2]
 
     # ------------------------------------------------------------------
     # board operations (each takes and releases the lock)
@@ -261,17 +195,15 @@ class TaskBroker:
             board.cond.notify()
             return {"accepted": True, "id": task_id}
 
-    def next_task(self, body: dict) -> dict:
+    def next_task(self, worker: str, wait: float) -> dict:
         """Grant the next pending task to a polling worker (long-poll).
 
-        Blocks up to ``body["wait"]`` seconds (clamped to
-        :data:`MAX_POLL_WAIT`); reaps expired leases on every wake-up so
-        requeued tasks are handed out promptly.
+        Blocks up to ``wait`` seconds (clamped to :data:`MAX_POLL_WAIT`);
+        reaps expired leases on every wake-up so requeued tasks are
+        handed out promptly.
         """
-        worker = str(body.get("worker", "anonymous"))
-        wait = min(float(body.get("wait", 0.0)), MAX_POLL_WAIT)
         board = self.board
-        deadline = time.monotonic() + max(0.0, wait)
+        deadline = time.monotonic() + min(wait, MAX_POLL_WAIT)
         with board.cond:
             board.workers_seen.add(worker)
             while True:
@@ -283,11 +215,9 @@ class TaskBroker:
                     task.state = "leased"
                     task.worker = worker
                     task.ever_leased = True
-                    lease = float(
-                        task.envelope.get("lease_seconds")
-                        or self.config.default_lease
+                    task.lease_expiry = (
+                        time.monotonic() + task.envelope["lease_seconds"]
                     )
-                    task.lease_expiry = time.monotonic() + lease
                     board.counters["leases_granted"] += 1
                     return {"task": task.envelope, "draining": False}
                 remaining = deadline - time.monotonic()
@@ -308,7 +238,6 @@ class TaskBroker:
             board.counters["results_posted"] += 1
             if envelope["ok"]:
                 board.counters["tasks_completed"] += 1
-            self._maybe_record_cache(task, envelope)
             board.cond.notify_all()
             return {"recorded": True}
 
@@ -351,16 +280,6 @@ class TaskBroker:
                 board.counters["tasks_cancelled"] += 1
             return {"cancelled": cancelled, "known": True}
 
-    def cache_lookup(self, key: str) -> dict:
-        """Shared result-store lookup for workers (miss answers null)."""
-        store = self._store
-        hit = store.get(key) if store is not None else None
-        with self.board.cond:
-            self.board.counters[
-                "cache_hits" if hit is not None else "cache_misses"
-            ] += 1
-        return {"key": key, "result": hit}
-
     def stats(self) -> dict:
         """Counters plus a snapshot of the board's shape."""
         board = self.board
@@ -376,18 +295,6 @@ class TaskBroker:
                 "draining": self.draining,
             }
 
-    def _maybe_record_cache(self, task: _Task, envelope: dict) -> None:
-        """Auto-record an ok, freshly-computed result in the shared store."""
-        key = task.envelope.get("cache_key")
-        if (
-            self._store is None
-            or key is None
-            or not envelope["ok"]
-            or envelope.get("cache") == "hit"
-        ):
-            return
-        self._store.put(key, envelope["result"])
-
     def _reap_locked(self) -> None:
         """Requeue or fail every task whose lease has expired (lock held)."""
         board = self.board
@@ -400,24 +307,15 @@ class TaskBroker:
             board.counters["lease_expiries"] += 1
             task.requeues += 1
             task.lease_expiry = None
-            budget = int(task.envelope.get("max_requeues", 1))
-            if task.requeues > budget:
+            if task.requeues > task.envelope["max_requeues"]:
                 task.state = "done"
-                task.result = {
-                    "schema": RESULT_SCHEMA,
-                    "id": task.id,
-                    "worker": task.worker,
-                    "ok": False,
-                    "result": None,
-                    "error": {
-                        "type": "LeaseExpired",
-                        "message": (
-                            f"lease expired {task.requeues} time(s); "
-                            f"last worker {task.worker!r} presumed dead"
-                        ),
-                    },
-                    "cache": None,
-                }
+                task.result = result_envelope(task.id, task.worker, ok=False, error={
+                    "type": "LeaseExpired",
+                    "message": (
+                        f"lease expired {task.requeues} time(s); "
+                        f"last worker {task.worker!r} presumed dead"
+                    ),
+                })
                 board.cond.notify_all()
             else:
                 task.envelope = strip_fault(task.envelope)
@@ -428,79 +326,11 @@ class TaskBroker:
                 board.queue.appendleft(task.id)
                 board.cond.notify()
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
+    def on_drain(self) -> None:
+        """Wake every long-poll into a ``draining`` answer.
 
-    def start(self) -> tuple[str, int]:
-        """Bind the listener and open the shared store; returns (host, port)."""
-        if self.config.cache_db is not None:
-            from repro.cache.store import open_store
-
-            self._store = open_store(self.config.cache_db)
-        self._httpd = _BrokerHTTPServer(
-            (self.config.host, self.config.port), _Handler
-        )
-        self._httpd.broker = self
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-broker-listener",
-            daemon=True,
-        )
-        self._serve_thread.start()
-        return self.address
-
-    def stop(self) -> None:
-        """Gracefully drain and shut down (idempotent).
-
-        New submissions get 503, polling workers are told to exit,
-        pending tasks are dropped -- the coordinator's retry ladder and
-        checkpoints own durability -- and the listener stops.
+        New submissions already get 503; pending tasks are dropped --
+        the coordinator's retry ladder and checkpoints own durability.
         """
-        with self._drain_lock:
-            if self.draining:
-                self._drained.wait()
-                return
-            self.draining = True
         with self.board.cond:
-            self.board.cond.notify_all()  # wake long-polls into "draining"
-        if self.config.cache_db is not None:
-            from repro.cache.store import close_store
-
-            close_store(self.config.cache_db)
-            self._store = None
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-        if self._serve_thread is not None:
-            self._serve_thread.join()
-        self._drained.set()
-
-    def serve_forever(self) -> int:
-        """CLI entry point: serve until SIGINT/SIGTERM, then drain.
-
-        The handler hands the drain to a helper thread -- :meth:`stop`
-        must not run on the thread executing the signal handler, which
-        may be blocked inside the listener it is about to stop.
-        """
-        host, port = self.start()
-
-        def _drain(signum: int, frame) -> None:
-            threading.Thread(
-                target=self.stop, name="repro-broker-drain", daemon=True
-            ).start()
-
-        previous = {}
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            previous[sig] = signal.signal(sig, _drain)
-        print(f"repro broker: listening on http://{host}:{port}", flush=True)
-        try:
-            assert self._serve_thread is not None
-            while self._serve_thread.is_alive():
-                self._serve_thread.join(timeout=0.2)
-        finally:
-            self.stop()  # no-op when the drain already ran
-            for sig, old in previous.items():
-                signal.signal(sig, old)
-        print("repro broker: drained", flush=True)
-        return 0
+            self.board.cond.notify_all()

@@ -109,17 +109,9 @@ class BrokerClient:
         """``DELETE /tasks/<id>``: cancel or collect-and-forget."""
         return self._request("DELETE", f"/tasks/{task_id}")
 
-    def cache_get(self, key: str) -> dict | None:
-        """``GET /cache/<key>``: shared-store lookup; None on a miss."""
-        return self._request("GET", f"/cache/{key}").get("result")
-
     def healthz(self) -> dict:
         """``GET /healthz``: liveness probe."""
         return self._request("GET", "/healthz")
-
-    def stats(self) -> dict:
-        """``GET /stats``: board counters (diagnostics)."""
-        return self._request("GET", "/stats")
 
     def wait_ready(self, seconds: float, poll: float = 0.2) -> bool:
         """Poll ``/healthz`` until it answers ok, up to ``seconds``.

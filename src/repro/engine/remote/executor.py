@@ -21,6 +21,7 @@ semantics (see ``docs/DISTRIBUTED.md``).
 
 from __future__ import annotations
 
+import math
 import time
 import uuid
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -35,7 +36,6 @@ from repro.engine.remote.client import (
 )
 from repro.engine.remote.wire import (
     rebuild_error,
-    remote_cache_key,
     result_payload,
     task_envelope,
 )
@@ -136,9 +136,6 @@ class _RemoteFuture:
         if status.get("ok"):
             executor.remote_counts["tasks_completed"] += 1
             observe.add("remote_tasks_completed")
-            if status.get("cache") == "hit":
-                executor.remote_counts["cache_hits"] += 1
-                observe.add("remote_cache_hits")
             return result_payload(status)
         raise rebuild_error(status.get("error") or {})
 
@@ -169,7 +166,6 @@ class RemoteExecutor(ProcessExecutor):
             "tasks_submitted": 0,
             "tasks_completed": 0,
             "lease_expiries": 0,
-            "cache_hits": 0,
             "broker_errors": 0,
         }
 
@@ -201,28 +197,21 @@ class RemoteExecutor(ProcessExecutor):
     def _pool_submit(self, payload: GroupPayload):
         """Submit one group to the broker instead of the process pool.
 
-        The lease mirrors ``task_timeout`` (with a default when none is
-        configured) so broker-side dead-host detection and the
-        coordinator's per-attempt budget stay aligned; the requeue
-        budget of 1 gives a surviving worker one chance to rescue the
-        group within the same coordinator attempt.
+        The lease mirrors ``task_timeout`` (the default when it is unset
+        or not finite -- the broker refuses an endless lease) so
+        broker-side dead-host detection and the coordinator's
+        per-attempt budget stay aligned; the requeue budget of 1 gives a
+        surviving worker one chance to rescue the group within the same
+        coordinator attempt.
         """
-        config = payload.config
-        lease = (
-            config.task_timeout
-            if config.task_timeout is not None
-            else DEFAULT_LEASE_SECONDS
-        )
+        lease = payload.config.task_timeout
+        if lease is None or not math.isfinite(lease):
+            lease = DEFAULT_LEASE_SECONDS
         task_id = uuid.uuid4().hex[:16]
-        envelope = task_envelope(
-            task_id,
-            payload,
-            lease_seconds=lease,
-            max_requeues=1,
-            cache_key=remote_cache_key(payload),
-        )
         try:
-            self.client.submit_task(envelope)
+            self.client.submit_task(task_envelope(
+                task_id, payload, lease_seconds=lease, max_requeues=1
+            ))
         except (BrokerUnavailable, BrokerError) as exc:
             self.remote_counts["broker_errors"] += 1
             observe.add("remote_broker_errors")

@@ -11,8 +11,7 @@ Two envelopes exist:
   :class:`repro.engine.worker.GroupPayload` -- the group's functions as
   a :class:`repro.bdd.transfer.PortableDag`, the frontier signal names,
   the flow configuration, and an optional armed fault -- plus the lease
-  the coordinator grants (``lease_seconds``), the requeue budget, and
-  the group's shared-cache key;
+  the coordinator grants (``lease_seconds``) and the requeue budget;
 - a **result** (``repro-remote-result/1``) carries the worker's
   :class:`repro.engine.worker.GroupResult` back (reusing the checkpoint
   layer's portable JSON form), or a typed error.
@@ -23,21 +22,17 @@ stateless: any worker can serve any coordinator.  Transport-only knobs
 plan) are forced to their worker-local values on arrival -- the same
 normalization :func:`repro.engine.worker.run_group` applies -- so a
 worker-side :func:`repro.engine.checkpoint.config_digest` matches the
-coordinator's and the shared result cache is coherent across hosts.
+coordinator's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from typing import TYPE_CHECKING
 
 from repro.bdd.transfer import PortableDag
-from repro.engine.checkpoint import (
-    config_digest,
-    payload_fingerprint,
-    result_from_json,
-    result_to_json,
-)
+from repro.engine.checkpoint import result_from_json, result_to_json
 from repro.engine.faults import FAULT_KINDS, FaultSpec
 from repro.engine.worker import GroupPayload
 
@@ -50,10 +45,6 @@ TASK_SCHEMA = "repro-remote-task/1"
 
 #: Schema tag of result envelopes (worker -> coordinator via broker).
 RESULT_SCHEMA = "repro-remote-result/1"
-
-#: Prefix of shared-cache keys computed by :func:`remote_cache_key`.
-#: No ``/`` -- the key must survive as one HTTP path segment.
-CACHE_KEY_PREFIX = "remote-1"
 
 #: FlowConfig fields that never travel (coordinator-local runtime state).
 _CONFIG_SKIP = frozenset({"fault_plan"})
@@ -84,6 +75,20 @@ def _require(body: dict, key: str, kinds, where: str):
     if not isinstance(value, kinds):
         raise RemoteWireError(
             f"{where}: field {key!r} has type {type(value).__name__}"
+        )
+    return value
+
+
+def _finite(body: dict, key: str, kinds, where: str):
+    """One required numeric field, finite and >= 0.
+
+    ``json.loads`` admits ``Infinity`` and ``NaN``, and ``True`` is an
+    ``int``; all three are rejected.
+    """
+    value = _require(body, key, kinds, where)
+    if isinstance(value, bool) or not math.isfinite(value) or value < 0:
+        raise RemoteWireError(
+            f"{where}: field {key!r} must be a finite number >= 0"
         )
     return value
 
@@ -225,27 +230,11 @@ def strip_fault(task: dict) -> dict:
 # ----------------------------------------------------------------------
 
 
-def remote_cache_key(payload: GroupPayload) -> str:
-    """Shared-store key of one group subproblem.
-
-    Combines the semantic config digest with the payload fingerprint --
-    the same two identities checkpoints use -- under a versioned prefix,
-    so coordinator and workers agree on the key without exchanging it
-    per-field, and entries from different flow configurations can never
-    collide.
-    """
-    return (
-        f"{CACHE_KEY_PREFIX}:{config_digest(payload.config)}"
-        f":{payload_fingerprint(payload)}"
-    )
-
-
 def task_envelope(
     task_id: str,
     payload: GroupPayload,
     lease_seconds: float,
     max_requeues: int = 1,
-    cache_key: str | None = None,
 ) -> dict:
     """Build one ``repro-remote-task/1`` submission body."""
     return {
@@ -253,7 +242,6 @@ def task_envelope(
         "id": task_id,
         "lease_seconds": float(lease_seconds),
         "max_requeues": int(max_requeues),
-        "cache_key": cache_key,
         "payload": payload_to_json(payload),
     }
 
@@ -263,7 +251,11 @@ def parse_task(body: dict) -> dict:
 
     The payload is *not* deserialized -- the broker treats it opaquely
     and the worker deserializes lazily via :func:`payload_from_json` --
-    but the envelope frame must be sound before it is queued.
+    but the envelope frame must be sound before it is queued: the lease
+    is finite and positive (an infinite lease would let a dead worker
+    hold its task for good), and the requeue budget is not negative.
+    Unknown keys are ignored, so a coordinator that still sends the
+    retired shared-cache field keeps working.
     """
     if not isinstance(body, dict):
         raise RemoteWireError("task envelope: not a JSON object")
@@ -273,39 +265,45 @@ def parse_task(body: dict) -> dict:
             f"task envelope: expected schema {TASK_SCHEMA!r}, got {schema!r}"
         )
     _require(body, "id", str, "task envelope")
-    _require(body, "lease_seconds", (int, float), "task envelope")
-    _require(body, "max_requeues", int, "task envelope")
+    if not _finite(body, "lease_seconds", (int, float), "task envelope"):
+        raise RemoteWireError("task envelope: field 'lease_seconds' must be > 0")
+    _finite(body, "max_requeues", int, "task envelope")
     _require(body, "payload", dict, "task envelope")
-    key = body.get("cache_key")
-    if key is not None and not isinstance(key, str):
-        raise RemoteWireError("task envelope: cache_key must be str or null")
     return body
+
+
+def parse_poll(body: dict) -> tuple[str, float]:
+    """Validate one worker poll body; returns ``(worker, wait)``.
+
+    Both fields are optional (``"anonymous"``, no wait); ``wait`` is a
+    finite number of seconds >= 0.
+    """
+    if not isinstance(body, dict):
+        raise RemoteWireError("poll body: not a JSON object")
+    worker = body.get("worker", "anonymous")
+    if not isinstance(worker, str):
+        raise RemoteWireError("poll body: field 'worker' must be a string")
+    if "wait" not in body:
+        return worker, 0.0
+    return worker, float(_finite(body, "wait", (int, float), "poll body"))
 
 
 def result_envelope(
     task_id: str,
-    worker: str,
+    worker: str | None,
     ok: bool,
-    result: "GroupResult | dict | None" = None,
+    result: "GroupResult | None" = None,
     error: dict | None = None,
-    cache: str | None = None,
 ) -> dict:
-    """Build one ``repro-remote-result/1`` body.
-
-    ``result`` accepts either a live :class:`GroupResult` (serialized
-    via the checkpoint layer's portable form) or an already-serialized
-    dict (cache-hit replay: the stored JSON posts back verbatim).
-    """
-    if result is not None and not isinstance(result, dict):
-        result = result_to_json(result)
+    """Build one ``repro-remote-result/1`` body (the ``result`` in the
+    checkpoint layer's portable form)."""
     return {
         "schema": RESULT_SCHEMA,
         "id": task_id,
         "worker": worker,
         "ok": bool(ok),
-        "result": result,
+        "result": None if result is None else result_to_json(result),
         "error": error,
-        "cache": cache,
     }
 
 

@@ -7,20 +7,18 @@ on a **private BDD manager** -- literally
 pool uses, which is what makes remote results byte-identical -- and
 post the portable result back.
 
-Cache discipline: when the task names a shared-store key and carries no
-armed fault, the worker consults ``GET /cache/<key>`` first and replays
-a hit verbatim (``cache: "hit"`` in the result envelope, so neither the
-broker nor the coordinator re-records it).  An armed fault skips the
-cache outright -- a fault that must fire cannot be short-circuited by a
-previous run's result.
+Workers keep no cache: the coordinator's own result cache
+(``--cache-db``) answers repeated groups before they are ever
+submitted, and verifies every hit.
 
-Failure discipline: a worker exception posts a typed error envelope
-(injected faults keep their kind/group for coordinator-side
-reconstruction); a ``kill`` fault never reaches the post -- the process
-dies inside ``run_group`` exactly like a pool worker, and the broker's
-lease expiry is what reports it.  Broker connection failures back off
-and retry up to a budget, so workers survive broker restarts and can be
-started before the broker binds.
+Failure discipline: a worker exception -- a payload that fails to
+deserialize included -- posts a typed error envelope (injected faults
+keep their kind/group for coordinator-side reconstruction); a ``kill``
+fault never reaches the post -- the process dies inside ``run_group``
+exactly like a pool worker, and the broker's lease expiry is what
+reports it.  Broker connection failures back off and retry up to a
+budget, so workers survive broker restarts and can be started before
+the broker binds.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from repro.engine.remote.client import (
     BrokerUnavailable,
 )
 from repro.engine.remote.wire import (
-    RemoteWireError,
     fault_error,
     payload_from_json,
     result_envelope,
@@ -64,32 +61,15 @@ def default_worker_name() -> str:
 def _handle_task(client: BrokerClient, task: dict, name: str) -> None:
     """Decompose one leased task and post its result envelope."""
     task_id = task.get("id", "?")
-    cache_key = task.get("cache_key")
     try:
-        payload = payload_from_json(task["payload"])
-    except (RemoteWireError, KeyError, TypeError) as exc:
-        client.post_result(result_envelope(
-            task_id, name, ok=False, error=fault_error(exc),
-        ))
-        return
-    if cache_key is not None and payload.fault is None:
-        hit = client.cache_get(cache_key)
-        if hit is not None:
-            client.post_result(result_envelope(
-                task_id, name, ok=True, result=hit, cache="hit",
-            ))
-            return
-    try:
-        result = run_group(payload)  # a kill fault never returns from here
+        # A kill fault never returns from run_group.
+        result = run_group(payload_from_json(task["payload"]))
     except Exception as exc:  # noqa: BLE001 - every failure travels typed
         client.post_result(result_envelope(
             task_id, name, ok=False, error=fault_error(exc),
         ))
         return
-    client.post_result(result_envelope(
-        task_id, name, ok=True, result=result,
-        cache=None if cache_key is None else "miss",
-    ))
+    client.post_result(result_envelope(task_id, name, ok=True, result=result))
 
 
 def run_worker(

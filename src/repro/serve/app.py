@@ -1,4 +1,4 @@
-"""The HTTP face of the synthesis daemon (stdlib ``http.server`` only).
+"""The HTTP face of the synthesis daemon, on :mod:`repro.httpjson`.
 
 Endpoints (all JSON; see ``docs/SERVING.md`` for the wire schemas):
 
@@ -27,14 +27,11 @@ to byte-identical BLIF.
 
 from __future__ import annotations
 
-import json
-import signal
-import threading
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.cache.store import close_store
 from repro.engine.executors import request_cancel, reset_cancel, shutdown_pool
+from repro.httpjson import JsonHandler, JsonService
 from repro.serve.jobs import (
     Job,
     JobQueue,
@@ -43,11 +40,7 @@ from repro.serve.jobs import (
     QueueFull,
     RunnerConfig,
 )
-from repro.serve.wire import JobRequest
-from repro.serve.wire import SCHEMA_ID, WireError, parse_submission
-
-#: Largest accepted request body, in bytes (rejects accidental uploads).
-MAX_BODY_BYTES = 8 * 1024 * 1024
+from repro.serve.wire import SCHEMA_ID, JobRequest, WireError, parse_submission
 
 
 @dataclass(frozen=True)
@@ -82,112 +75,82 @@ class ServerConfig:
     broker: str | None = None
 
 
-class _JobHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying a reference to the synthesis server."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    #: Set by :class:`SynthesisServer` right after construction.
-    synthesis: "SynthesisServer"
-
-
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     """Request handler translating HTTP onto the job registry/queue."""
 
-    server: _JobHTTPServer
-    protocol_version = "HTTP/1.1"
-
-    def _send_json(self, status: int, body: dict) -> None:
-        """Serialize one JSON response with correct framing."""
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _error(self, status: int, message: str) -> None:
-        """One-line JSON error body."""
-        self._send_json(status, {"schema": SCHEMA_ID, "error": message})
+    error_fields = {"schema": SCHEMA_ID}
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         """``POST /jobs``: validate, admit, 202 with the job id."""
-        app = self.server.synthesis
-        if self.path.rstrip("/") != "/jobs":
-            self._error(404, f"unknown endpoint {self.path!r}")
+        app = self.service
+        if self.route != "/jobs":
+            self.send_json_error(404, f"unknown endpoint {self.path!r}")
             return
         if app.draining:
-            self._error(503, "server is draining; resubmit after restart")
+            self.send_json_error(
+                503, "server is draining; resubmit after restart"
+            )
+            return
+        payload = self.read_json()
+        if payload is None:
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._error(400, "bad Content-Length")
-            return
-        if length <= 0 or length > MAX_BODY_BYTES:
-            self._error(400, "request body required (JSON submission)")
-            return
-        try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            request = parse_submission(payload)
-        except (WireError, ValueError, UnicodeDecodeError) as exc:
-            self._error(400, str(exc))
-            return
-        try:
-            job = app.admit(request)
+            job = app.admit(parse_submission(payload))
+        except WireError as exc:
+            self.send_json_error(400, str(exc))
         except QueueFull as exc:
-            self._error(503, str(exc))
-            return
-        self._send_json(
-            202, {"schema": SCHEMA_ID, "id": job.id, "status": job.status}
-        )
+            self.send_json_error(503, str(exc))
+        else:
+            self.send_json(
+                202, {"schema": SCHEMA_ID, "id": job.id, "status": job.status}
+            )
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         """``GET /jobs[/<id>]`` and ``GET /healthz``."""
-        app = self.server.synthesis
-        path = self.path.rstrip("/")
+        app = self.service
+        path = self.route
         if path == "/healthz":
             if app.draining:
-                self._send_json(503, {"status": "draining"})
+                self.send_json(503, {"status": "draining"})
             else:
-                self._send_json(200, {"status": "ok"})
-            return
-        if path == "/jobs":
+                self.send_json(200, {"status": "ok"})
+        elif path == "/jobs":
             jobs = [
                 {"id": job.id, "status": job.status}
                 for job in app.registry.all()
             ]
-            self._send_json(200, {"schema": SCHEMA_ID, "jobs": jobs})
-            return
-        if path.startswith("/jobs/"):
+            self.send_json(200, {"schema": SCHEMA_ID, "jobs": jobs})
+        elif path.startswith("/jobs/"):
             job = app.registry.get(path[len("/jobs/"):])
             if job is None:
-                self._error(404, "unknown job id")
-                return
-            body, status = job.envelope()
-            self._send_json(status, body)
-            return
-        self._error(404, f"unknown endpoint {self.path!r}")
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence per-request stderr chatter (tests and CI logs)."""
+                self.send_json_error(404, "unknown job id")
+            else:
+                body, status = job.envelope()
+                self.send_json(status, body)
+        else:
+            self.send_json_error(404, f"unknown endpoint {self.path!r}")
 
 
-class SynthesisServer:
+class SynthesisServer(JsonService):
     """The long-lived synthesis daemon behind ``repro serve``.
 
     Construct with a :class:`ServerConfig`, then either call
     :meth:`serve_forever` (CLI: installs signal handlers, blocks until
     drained) or drive it in-process with :meth:`start` / :meth:`stop`
-    (tests).
+    (tests); the lifecycle is :class:`repro.httpjson.JsonService`'s.
     """
+
+    name = "serve"
+    handler = _Handler
+    #: Largest accepted request body (rejects accidental uploads).
+    max_body_bytes = 8 * 1024 * 1024
 
     def __init__(self, config: ServerConfig) -> None:
         """Wire up registry, queue, and runners (nothing starts yet)."""
+        super().__init__(config.host, config.port)
         self.config = config
         self.registry = JobRegistry(config.state_dir)
         self.queue = JobQueue(config.backlog)
-        self.draining = False
         self._runner_config = RunnerConfig(
             jobs=config.jobs,
             cache_db=config.cache_db,
@@ -196,16 +159,6 @@ class SynthesisServer:
             broker=config.broker,
         )
         self._runners: list[JobRunner] = []
-        self._httpd: _JobHTTPServer | None = None
-        self._serve_thread: threading.Thread | None = None
-        self._drain_lock = threading.Lock()
-        self._drained = threading.Event()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound (host, port) -- valid after :meth:`start`."""
-        assert self._httpd is not None, "server not started"
-        return self._httpd.server_address[:2]
 
     def admit(self, request: JobRequest) -> Job:
         """Register and enqueue one submission (raises QueueFull)."""
@@ -218,18 +171,9 @@ class SynthesisServer:
             raise
         return job
 
-    def start(self) -> tuple[str, int]:
-        """Bind the listener, recover persisted jobs, start the runners.
-
-        Returns the bound (host, port); with ``port=0`` this is where the
-        OS-assigned port surfaces.  Unfinished jobs from a previous
-        process re-enter the queue ahead of new submissions.
-        """
+    def on_start(self) -> None:
+        """Re-enqueue unfinished persisted jobs, then start the runners."""
         reset_cancel()  # a fresh server must not inherit a stale cancel
-        self._httpd = _JobHTTPServer(
-            (self.config.host, self.config.port), _Handler
-        )
-        self._httpd.synthesis = self
         for job in self.registry.recover():
             self.queue.submit(job)
         for i in range(max(1, self.config.runners)):
@@ -241,29 +185,10 @@ class SynthesisServer:
             )
             runner.start()
             self._runners.append(runner)
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-serve-listener",
-            daemon=True,
-        )
-        self._serve_thread.start()
-        return self.address
 
-    def stop(self) -> None:
-        """Gracefully drain and shut everything down (idempotent).
-
-        Stops admission, cancels in-flight engine drains (checkpoints
-        flush on the way out), joins the runners, closes the shared
-        result store, force-stops the worker pool, and stops the
-        listener.
-        """
-        with self._drain_lock:
-            if self.draining:
-                # A concurrent drain is in flight; wait for it to finish
-                # so callers can rely on "stop() returned = fully down".
-                self._drained.wait()
-                return
-            self.draining = True
+    def on_drain(self) -> None:
+        """Cancel in-flight runs (checkpoints flush), join the runners,
+        then close the shared result store and the worker pool."""
         request_cancel()
         for runner in self._runners:
             runner.request_stop()
@@ -273,38 +198,3 @@ class SynthesisServer:
             close_store(self.config.cache_db)
         shutdown_pool(force=True)
         reset_cancel()
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-        if self._serve_thread is not None:
-            self._serve_thread.join()
-        self._drained.set()
-
-    def serve_forever(self) -> int:
-        """CLI entry point: serve until SIGINT/SIGTERM, then drain.
-
-        The signal handler hands the drain to a helper thread --
-        :meth:`stop` must not run on the thread executing the handler,
-        which may be blocked inside the listener it is about to stop.
-        """
-        host, port = self.start()
-
-        def _drain(signum: int, frame) -> None:
-            threading.Thread(
-                target=self.stop, name="repro-serve-drain", daemon=True
-            ).start()
-
-        previous = {}
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            previous[sig] = signal.signal(sig, _drain)
-        print(f"repro serve: listening on http://{host}:{port}", flush=True)
-        try:
-            assert self._serve_thread is not None
-            while self._serve_thread.is_alive():
-                self._serve_thread.join(timeout=0.2)
-        finally:
-            self.stop()  # no-op when the drain already ran
-            for sig, old in previous.items():
-                signal.signal(sig, old)
-        print("repro serve: drained", flush=True)
-        return 0

@@ -21,8 +21,10 @@ Rules:
 - a trailing ``# doccheck: skip`` comment on the ``def``/``class`` line
   exempts one definition.
 
-The default target set is the reliability-critical surface the docs
-anchor into: ``src/repro/engine/`` and ``src/repro/bdd/transfer.py``.
+The default target set (``DEFAULT_TARGETS``) is the surface the docs
+anchor into: the engine, cache, serve and targets packages, the shared
+HTTP core ``src/repro/httpjson.py``, and the BDD transfer and
+canonical-form modules.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ DEFAULT_TARGETS = (
     "src/repro/targets",
     "src/repro/bdd/transfer.py",
     "src/repro/bdd/canon.py",
+    "src/repro/httpjson.py",
 )
 
 _SKIP_PRAGMA = "# doccheck: skip"

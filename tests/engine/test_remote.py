@@ -9,11 +9,15 @@ expiry fails the task) exercised with handcrafted envelopes.
 """
 
 import contextlib
+import json
+import math
 import os
 import subprocess
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -144,6 +148,20 @@ class TestByteIdentity:
         assert stats.remote["broker_errors"] == 0
         assert stats.groups_degraded == 0
 
+    def test_endless_task_timeout_gets_a_finite_lease(self, broker):
+        # The broker refuses an infinite lease, so the coordinator falls
+        # back to its default one instead of degrading every group.
+        _, address = broker
+        net = bench("rd53")
+        baseline = write_blif(synthesize(net.copy(), FlowConfig()).network)
+        with worker_threads(address, count=2):
+            res = synthesize(
+                net.copy(), remote_config(address, task_timeout=math.inf)
+            )
+        assert write_blif(res.network) == baseline
+        assert res.engine_stats.remote["tasks_completed"] == 3
+        assert res.engine_stats.groups_degraded == 0
+
     def test_single_group_never_contacts_the_broker(self):
         # 9sym has one output -> one group: the base class short-circuits
         # to the serial path, so even an unreachable broker is fine.
@@ -247,28 +265,22 @@ class TestCheckpointResume:
 
 
 class TestSharedCache:
-    """Workers consult the broker's shared result store."""
+    """The coordinator's own result cache serves remote runs."""
 
-    def test_warm_run_replays_from_the_broker_cache(self, tmp_path):
-        b = TaskBroker(BrokerConfig(
-            port=0, cache_db=str(tmp_path / "shared.db")
-        ))
-        host, port = b.start()
-        address = f"{host}:{port}"
-        try:
-            net = bench("rd53")
-            baseline = write_blif(
-                synthesize(net.copy(), FlowConfig()).network
-            )
-            with worker_threads(address, count=2):
-                cold = synthesize(net.copy(), remote_config(address))
-                warm = synthesize(net.copy(), remote_config(address))
-            assert write_blif(cold.network) == baseline
-            assert write_blif(warm.network) == baseline
-            assert cold.engine_stats.remote["cache_hits"] == 0
-            assert warm.engine_stats.remote["cache_hits"] == 3
-        finally:
-            b.stop()
+    def test_coordinator_cache_serves_remote_runs(self, broker, tmp_path):
+        _, address = broker
+        net = bench("rd53")
+        baseline = write_blif(synthesize(net.copy(), FlowConfig()).network)
+        db = str(tmp_path / "results.db")
+        with worker_threads(address, count=2):
+            cold = synthesize(net.copy(), remote_config(address, cache_db=db))
+            warm = synthesize(net.copy(), remote_config(address, cache_db=db))
+        assert write_blif(cold.network) == baseline
+        assert write_blif(warm.network) == baseline
+        assert warm.engine_stats.cache_hits == 3
+        assert cold.engine_stats.cache_stores == 3
+        # Every group was answered (and verified) before submission.
+        assert warm.engine_stats.remote["tasks_submitted"] == 0
 
 
 def make_envelope(task_id: str, lease: float, fault: bool = True) -> dict:
@@ -278,7 +290,6 @@ def make_envelope(task_id: str, lease: float, fault: bool = True) -> dict:
         "id": task_id,
         "lease_seconds": lease,
         "max_requeues": 1,
-        "cache_key": None,
         "payload": {
             "fault": {"kind": "kill", "group": 0} if fault else None
         },
@@ -340,3 +351,42 @@ class TestLeaseSemantics:
             # Poked the flag without running the real drain; restore it so
             # the fixture's stop() performs the actual shutdown.
             b.draining = False
+
+
+def post_raw(address: str, path: str, data: bytes) -> int:
+    """POST raw bytes to the broker; returns the HTTP status."""
+    req = urllib.request.Request(
+        f"http://{address}{path}", data=data, method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(req, timeout=10) as resp:
+            return resp.status
+    except urllib.error.HTTPError as exc:
+        return exc.code
+
+
+class TestMalformedRequests:
+    """Malformed bodies and envelopes answer 400; the broker stays up."""
+
+    @pytest.mark.parametrize("path,body", [
+        ("/tasks/next", b'{"wait": "x"}'),
+        ("/tasks/next", b"[1, 2]"),
+        ("/tasks/next", b'{"wait": -1}'),
+        ("/tasks/next", b'{"wait": Infinity}'),
+        ("/tasks/next", b'{"worker": 7}'),
+        ("/tasks", json.dumps(make_envelope("n", lease=-5)).encode()),
+        ("/tasks", json.dumps(make_envelope("i", lease=math.inf)).encode()),
+        ("/tasks", json.dumps(
+            {**make_envelope("r", lease=30.0), "max_requeues": -3}
+        ).encode()),
+    ], ids=[
+        "wait-string", "poll-not-object", "wait-negative", "wait-infinite",
+        "worker-not-string", "lease-negative", "lease-infinite",
+        "requeues-negative",
+    ])
+    def test_answers_400_and_keeps_serving(self, broker, path, body):
+        b, address = broker
+        assert post_raw(address, path, body) == 400
+        assert BrokerClient(address).healthz() == {"status": "ok"}
+        assert b.stats()["counters"]["tasks_submitted"] == 0

@@ -159,16 +159,17 @@ class TestFormatDispatch:
 
 
 class TestObservability:
-    def test_report_is_schema_valid(self, pla_file, tmp_path, capsys):
+    def test_report_is_schema_valid(self, pla_file, rd53_file, tmp_path, capsys):
         report_path = tmp_path / "run.json"
-        rc = main(["synth", str(pla_file), "--report", str(report_path)])
-        assert rc == 0
-        payload = validate_report(json.loads(report_path.read_text()))
-        assert payload["meta"]["verified"] is True
-        assert payload["meta"]["luts"] >= 1
-        top = {s["name"] for s in payload["spans"]}
-        assert top == {"synthesize", "verify"}
-        assert 0 < payload["total_seconds"] <= payload["meta"]["wall_clock_seconds"] * 1.5
+        for argv in ([str(pla_file)], [str(rd53_file), "--k", "4", "--trace"]):
+            rc = main(["synth", *argv, "--report", str(report_path)])
+            assert rc == 0
+            payload = validate_report(json.loads(report_path.read_text()))
+            assert payload["meta"]["verified"] is True
+            assert payload["meta"]["luts"] >= 1
+            top = {s["name"] for s in payload["spans"]}
+            assert top == {"synthesize", "verify"}
+            assert 0 < payload["total_seconds"] <= payload["meta"]["wall_clock_seconds"] * 1.5
 
     def test_trace_prints_span_tree(self, pla_file, capsys):
         assert main(["synth", str(pla_file), "--trace"]) == 0
@@ -548,3 +549,75 @@ class TestStaleCheckpointNotice:
         engine = validate_report(json.loads(report.read_text()))["engine"]
         assert engine["checkpoint_stale_entries"] == 1
         assert engine["checkpoint_replayed"] == 1
+
+
+class TestTargetsCli:
+    @pytest.mark.parametrize("k,name", [
+        (4, "lut-4"), (5, "xc3000-clb"), (6, "lut-6"),
+    ])
+    def test_lut_k_sweep_verifies_and_reports_its_target(
+        self, rd53_file, tmp_path, capsys, k, name
+    ):
+        report_path = tmp_path / f"lut{k}.json"
+        assert main(["synth", str(rd53_file), "--k", str(k),
+                     "--report", str(report_path)]) == 0
+        payload = validate_report(json.loads(report_path.read_text()))
+        assert payload["meta"]["verified"] is True
+        assert payload["target"]["name"] == name
+        assert payload["target"]["k"] == k
+
+    @pytest.mark.parametrize("flags", [
+        ["--target", "asic"], ["--policy", "race:ladder-peel,warp"],
+    ], ids=["unknown-target", "unknown-race-candidate"])
+    def test_unknown_name_exits_2_with_one_line(self, rd53_file, capsys, flags):
+        assert main(["synth", str(rd53_file), *flags]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+
+
+class TestDaemonSignals:
+    """Both daemons drain on a real SIGINT/SIGTERM and exit 0.
+
+    The shared ``serve_forever`` installs the handlers, so this runs the
+    real CLI in a subprocess: signal disposition is per-process state.
+    """
+
+    DAEMONS = {
+        "serve": ["serve", "--port", "0", "--jobs", "1", "--runners", "1"],
+        "broker": ["broker", "--port", "0"],
+    }
+
+    @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+    @pytest.mark.parametrize("daemon", ["serve", "broker"])
+    def test_signal_drains_and_exits_0(self, tmp_path, daemon, signame):
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import urllib.request
+
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *self.DAEMONS[daemon]],
+            env=env, cwd=tmp_path, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            first = proc.stdout.readline()
+            match = re.search(r"listening on (http://\S+:\d+)", first)
+            assert match, (first, proc.stderr.read() if proc.poll() else "")
+            url = match.group(1) + "/healthz"
+            with urllib.request.urlopen(url, timeout=10) as resp:
+                assert resp.status == 200
+            proc.send_signal(getattr(signal, signame))
+            out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert out.strip().splitlines()[-1] == f"repro {daemon}: drained"

@@ -6,6 +6,7 @@ hardened error paths under ``python -O`` and checks they still raise the
 structured exceptions.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -135,3 +136,21 @@ class TestOptimizedMode:
         )
         assert proc.returncode == 0, (proc.returncode, proc.stdout, proc.stderr)
         assert proc.stdout.strip() == "OK"
+
+    def test_cli_run_report_under_python_O(self, tmp_path):
+        from repro.benchcircuits import get_circuit
+        from repro.io.blif import write_blif
+        from repro.observe import validate_report
+
+        circuit = tmp_path / "rd53.blif"
+        circuit.write_text(write_blif(get_circuit("rd53").build()))
+        report = tmp_path / "report-O.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "repro.cli", "synth", str(circuit),
+             "--k", "4", "--report", str(report)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, (proc.stdout, proc.stderr)
+        assert validate_report(json.loads(report.read_text()))["meta"]["verified"]

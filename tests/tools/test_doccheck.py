@@ -138,4 +138,5 @@ class TestMain:
             "src/repro/engine", "src/repro/cache", "src/repro/serve",
             "src/repro/targets",
             "src/repro/bdd/transfer.py", "src/repro/bdd/canon.py",
+            "src/repro/httpjson.py",
         )
