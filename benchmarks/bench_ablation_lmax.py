@@ -2,10 +2,12 @@
 
 Two checks around the paper's Section 6 machinery:
 
-- *implicit vs explicit*: the layered-BDD Lmax must agree with brute-force
+- *implicit vs explicit*: the layered Lmax must agree with brute-force
   enumeration of all 2^p z-vertices, and scale past the point where
   enumeration dies (the paper's motivation for implicit techniques; the
-  covering-table construction was their bottleneck for p >= 50).
+  covering-table construction was their bottleneck for p >= 50).  The
+  small sizes run on bit-set z-spaces, the large ones on BDDs
+  (``repro.imodec.zspace.BITSET_MAX_CLASSES``).
 - *tie-break strategies*: "balanced" reproduces the paper's d1 choice on the
   running example and is compared against lexicographic "first" on the
   benchmark flows.
@@ -19,7 +21,7 @@ from benchmarks.conftest import emit, reset_results
 from repro.benchcircuits import get_circuit
 from repro.imodec.chi import chi_for_output
 from repro.imodec.lmax import count_layers, lmax
-from repro.imodec.zspace import ZSpace
+from repro.imodec.zspace import BITSET_MAX_CLASSES, BaseZSpace, make_zspace
 from repro.mapping.flow import FlowConfig, synthesize, verify_flow
 
 MODULE = "ablation_lmax"
@@ -41,7 +43,7 @@ def random_chis(p: int, m: int, seed: int):
     scaling series holds l roughly constant while p grows.
     """
     rng = random.Random(seed)
-    zspace = ZSpace(p)
+    zspace = make_zspace(p)
     size_lo = max(1, p // 8)
     size_hi = max(3, p // 4)
     chis = []
@@ -59,11 +61,11 @@ def random_chis(p: int, m: int, seed: int):
     return zspace, chis
 
 
-def explicit_lmax(zspace: ZSpace, chis) -> int:
+def explicit_lmax(zspace: BaseZSpace, chis) -> int:
     best = 0
     for vertex in range(1 << zspace.p):
         env = {i: bool((vertex >> i) & 1) for i in range(zspace.p)}
-        count = sum(1 for chi in chis if zspace.bdd.eval(chi, env))
+        count = sum(1 for chi in chis if zspace.contains(chi, env))
         best = max(best, count)
     return best
 
@@ -71,6 +73,7 @@ def explicit_lmax(zspace: ZSpace, chis) -> int:
 @pytest.mark.parametrize("p", [6, 10, 14])
 def test_lmax_matches_explicit(benchmark, p):
     zspace, chis = random_chis(p, m=4, seed=p)
+    assert zspace.bitset == (p <= BITSET_MAX_CLASSES)
     result = benchmark.pedantic(lambda: lmax(zspace, chis), rounds=3, iterations=1)
     assert result.count == explicit_lmax(zspace, chis)
     emit(MODULE, f"  p = {p:>2}: implicit max count {result.count} == explicit")
@@ -80,6 +83,7 @@ def test_lmax_matches_explicit(benchmark, p):
 def test_lmax_scales_implicitly(benchmark, p):
     """Sizes where 2^p enumeration is impossible run in milliseconds."""
     zspace, chis = random_chis(p, m=5, seed=p)
+    assert not zspace.bitset
     result = benchmark.pedantic(lambda: lmax(zspace, chis), rounds=3, iterations=1)
     assert 1 <= result.count <= 5
     layers = count_layers(zspace, chis)

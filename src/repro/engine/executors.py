@@ -87,6 +87,7 @@ from repro.errors import (
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (flow imports engine)
     from repro.mapping.flow import FlowConfig
+    from repro.partitioning.kernel import BoundSetKernel
 
 #: Hard ceiling on one backoff sleep, whatever the retry count.
 MAX_BACKOFF_SECONDS = 2.0
@@ -307,14 +308,22 @@ class ProcessExecutor:
     def _portable(self, engine: "Engine", groups: list[list[int]]) -> bool:
         """Whether the groups go through submit/collect as portable results.
 
-        Offloading pays only with more than one group to overlap; a
-        result cache, a ``race:`` policy, a checkpoint or resume file and
-        a fault plan all work on portable results, whatever the count.
+        Offloading pays only with more than one group to overlap; see
+        :meth:`keeps_results` for the runs that need portable results
+        whatever the count.
+        """
+        return (self.offloads and len(groups) > 1) or self.keeps_results(engine)
+
+    @staticmethod
+    def keeps_results(engine: "Engine") -> bool:
+        """Whether the run works on portable group results, however many.
+
+        A result cache, a ``race:`` policy, a checkpoint or resume file and
+        a fault plan all do.
         """
         config = engine.config
         return (
-            (self.offloads and len(groups) > 1)
-            or engine.racing
+            engine.racing
             or engine.group_cache is not None
             or config.checkpoint_path is not None
             or config.resume_from is not None
@@ -964,6 +973,19 @@ class Engine:
     def run_groups(self, groups: list[list[int]]) -> list[list[str]]:
         """Map each group of BDD roots to its emitted output signals."""
         return self.executor.run_groups(self, groups)
+
+    def partition_kernel(self) -> BoundSetKernel | None:
+        """The bound-set kernel output partitioning should share, or None.
+
+        A serial run that keeps no portable results decomposes every group
+        with this engine's policy on this engine's manager, so the policy's
+        kernel can serve ``partition_outputs`` too and answer the policy's
+        repeat of a trial's search from memo.  Every other run decomposes
+        the groups elsewhere (or from portable copies) and gets None.
+        """
+        if self.executor.offloads or self.executor.keeps_results(self):
+            return None
+        return getattr(self.emitter.policy, "kernel", None)
 
     def note_race_winner(self, policy: str) -> None:
         """Count one raced group decided in favour of ``policy``."""

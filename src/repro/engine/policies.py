@@ -119,7 +119,10 @@ class LadderPeelPolicy:
 
         The policy owns one bound-set scoring kernel for its lifetime, so
         the second scorer of an attempt and every later attempt on the
-        same vector reuse the scores already computed.
+        same vector reuse the scores already computed.  In a serial run
+        output partitioning shares it too (``Engine.partition_kernel``),
+        so an attempt that repeats a trial's search reads the trial's
+        bound set from the kernel's winner memo.
         """
         self.config = config
         self.target = make_target(

@@ -162,6 +162,7 @@ class RemoteExecutor(ProcessExecutor):
         self.workers = 0
         self.broker = config.broker
         self.client = BrokerClient(config.broker)
+        self._reachable = False  # /healthz answered (checked on first submit)
         self.remote_counts = {
             "tasks_submitted": 0,
             "tasks_completed": 0,
@@ -175,27 +176,15 @@ class RemoteExecutor(ProcessExecutor):
         counts["remote"] = {"broker": self.broker, **self.remote_counts}
         return counts
 
-    def run_groups(
-        self, engine: "Engine", groups: list[list[int]]
-    ) -> list[list[str]]:
-        """Check broker reachability, then run the inherited drain.
-
-        A run the base class drains directly (one group, no portable
-        results) never contacts the broker; an unreachable broker with
-        real fan-out ahead fails fast here rather than timing out once
-        per group.
-        """
-        if self._portable(engine, groups) and not self.client.wait_ready(
-            CONNECT_WAIT_SECONDS
-        ):
-            raise BrokerUnavailable(
-                f"broker {self.broker} did not answer /healthz within "
-                f"{CONNECT_WAIT_SECONDS:g}s"
-            )
-        return super().run_groups(engine, groups)
-
     def _pool_submit(self, payload: GroupPayload):
         """Submit one group to the broker instead of the process pool.
+
+        The first submission checks that the broker answers ``/healthz``
+        and raises :class:`BrokerUnavailable` outright when it does not,
+        so an unreachable broker fails the run fast instead of timing out
+        once per group.  A run that submits nothing -- one group drained
+        directly, or every group answered by the result cache or a resume
+        file -- never contacts the broker.
 
         The lease mirrors ``task_timeout`` (the default when it is unset
         or not finite -- the broker refuses an endless lease) so
@@ -204,6 +193,13 @@ class RemoteExecutor(ProcessExecutor):
         surviving worker one chance to rescue the group within the same
         coordinator attempt.
         """
+        if not self._reachable:
+            if not self.client.wait_ready(CONNECT_WAIT_SECONDS):
+                raise BrokerUnavailable(
+                    f"broker {self.broker} did not answer /healthz within "
+                    f"{CONNECT_WAIT_SECONDS:g}s"
+                )
+            self._reachable = True
         lease = payload.config.task_timeout
         if lease is None or not math.isfinite(lease):
             lease = DEFAULT_LEASE_SECONDS

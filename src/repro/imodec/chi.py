@@ -26,32 +26,31 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.bdd.manager import FALSE, TRUE
-from repro.imodec.zspace import ZSpace
+from repro.imodec.zspace import BaseZSpace
 
 
-def threshold_at_least(zspace: ZSpace, terms: Sequence[int], delta: int) -> int:
-    """BDD of "at least ``delta`` of the given functions hold".
+def threshold_at_least(zspace: BaseZSpace, terms: Sequence[int], delta: int) -> int:
+    """Set of vertices where at least ``delta`` of the given functions hold.
 
     This is the ``subset`` algorithm of Fig. 4 with the positional literals
     ``v_i`` already replaced by arbitrary functions (the psi substitution),
     so one pass serves both psi0 and psi1.  Complexity O(delta * len(terms))
-    BDD operations, as stated in the paper.
+    set operations (BDD or bit-set), as stated in the paper.
     """
     if delta <= 0:
-        return TRUE
+        return zspace.true
     if delta > len(terms):
-        return FALSE
-    bdd = zspace.bdd
-    t = [TRUE] + [FALSE] * delta
+        return zspace.false
+    and_, or_ = zspace.and_, zspace.or_
+    t = [zspace.true] + [zspace.false] * delta
     for term in terms:
         for j in range(delta, 0, -1):
-            t[j] = bdd.apply_or(t[j], bdd.apply_and(t[j - 1], term))
+            t[j] = or_(t[j], and_(t[j - 1], term))
     return t[delta]
 
 
 def block_condition(
-    zspace: ZSpace,
+    zspace: BaseZSpace,
     classes_in_block: Sequence[Sequence[int]],
     remaining_codewidth: int,
 ) -> int:
@@ -68,16 +67,16 @@ def block_condition(
     num_classes = len(classes_in_block)
     delta = num_classes - (1 << (remaining_codewidth - 1))
     if delta <= 0:
-        return TRUE
+        return zspace.true
     pos_terms = [zspace.conj_pos(cls) for cls in classes_in_block]
     neg_terms = [zspace.conj_neg(cls) for cls in classes_in_block]
     psi1 = threshold_at_least(zspace, pos_terms, delta)
     psi0 = threshold_at_least(zspace, neg_terms, delta)
-    return zspace.bdd.apply_and(psi0, psi1)
+    return zspace.and_(psi0, psi1)
 
 
 def purity_condition(
-    zspace: ZSpace, classes: Sequence[Sequence[int]]
+    zspace: BaseZSpace, classes: Sequence[Sequence[int]]
 ) -> int:
     """Each class entirely in the onset or entirely in the offset.
 
@@ -86,18 +85,17 @@ def purity_condition(
     class may not be split across codes.  The paper's non-strict algorithm
     drops it, which is exactly what exposes the additional shared functions.
     """
-    bdd = zspace.bdd
-    cond = TRUE
+    cond = zspace.true
     for cls in classes:
-        pure = bdd.apply_or(zspace.conj_pos(cls), zspace.conj_neg(cls))
-        cond = bdd.apply_and(cond, pure)
-        if cond == FALSE:
+        pure = zspace.or_(zspace.conj_pos(cls), zspace.conj_neg(cls))
+        cond = zspace.and_(cond, pure)
+        if cond == zspace.false:
             break
     return cond
 
 
 def chi_for_output(
-    zspace: ZSpace,
+    zspace: BaseZSpace,
     blocks: Sequence[Sequence[Sequence[int]]],
     remaining_codewidth: int,
     normalize: bool = True,
@@ -112,16 +110,16 @@ def chi_for_output(
     counts.  ``strict`` additionally forbids splitting local classes (the
     one-code-per-class baseline the paper improves on).
     """
-    bdd = zspace.bdd
-    chi = TRUE
+    and_, false = zspace.and_, zspace.false
+    chi = zspace.true
     for classes_in_block in blocks:
-        chi = bdd.apply_and(
+        chi = and_(
             chi, block_condition(zspace, classes_in_block, remaining_codewidth)
         )
-        if strict and chi != FALSE:
-            chi = bdd.apply_and(chi, purity_condition(zspace, classes_in_block))
-        if chi == FALSE:
+        if strict and chi != false:
+            chi = and_(chi, purity_condition(zspace, classes_in_block))
+        if chi == false:
             break
     if normalize:
-        chi = bdd.apply_and(chi, zspace.bdd.nvar(0))
+        chi = and_(chi, zspace.conj_neg([0]))
     return chi

@@ -10,9 +10,9 @@ concept by counting, per output:
   entirely in the onset, entirely in the offset, or mixed, and only the
   per-side totals matter).
 - ``# prefer.`` -- the number of *preferable* functions, i.e. assignable AND
-  constructable.  This is the satcount of ``psi0 & psi1`` over the p
-  z-variables (complements are counted, matching the paper's numbers, e.g.
-  l = 5, p = 5 gives 30 = 2^5 - 2).
+  constructable.  This is the number of vertices of ``psi0 & psi1`` over
+  the p z-variables (complements are counted, matching the paper's
+  numbers, e.g. l = 5, p = 5 gives 30 = 2^5 - 2).
 
 Counts are exact Python integers (the paper reports values up to ~2e48).
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.imodec.chi import chi_for_output
-from repro.imodec.zspace import ZSpace
+from repro.imodec.zspace import make_zspace
 
 
 def count_assignable(class_sizes: Sequence[int], codewidth: int) -> int:
@@ -79,7 +79,7 @@ def count_preferable(
     Complementary functions are both counted (no ``~z_0`` normalization),
     matching Table 1 of the paper.
     """
-    zspace = ZSpace(num_global_classes)
+    zspace = make_zspace(num_global_classes)
     if codewidth == 0:
         return 2
     chi = chi_for_output(

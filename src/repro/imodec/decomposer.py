@@ -4,7 +4,8 @@ Implements the algorithm of Section 6 end-to-end:
 
 1. compute the local compatibility partition of every output (BDD cofactor
    grouping) and the global partition (their product);
-2. set up the z-space (one BDD variable per global class);
+2. set up the z-space (one variable per global class; a bit set up to
+   20 classes, a BDD above: :mod:`repro.imodec.zspace`);
 3. repeat: implicitly compute ``chi_k(z)`` for every incomplete output,
    find a function preferable for a maximum number of outputs (Lmax),
    make it a partial assignment of all outputs whose chi contains it, and
@@ -36,7 +37,7 @@ from repro.imodec.globalpart import (
     lower_bound_q,
 )
 from repro.imodec.lmax import TieBreak, lmax
-from repro.imodec.zspace import ZSpace
+from repro.imodec.zspace import make_zspace
 
 
 # Historical home of DecompositionError; it now lives in repro.errors so
@@ -264,7 +265,7 @@ def _decompose_multi_impl(
         for part in local_parts
     ]
 
-    zspace = ZSpace(p)
+    zspace = make_zspace(p)
 
     # Per-output state: current partial partition as blocks of local-class
     # pieces.  A block is a list of frozensets of global ids (one per local
@@ -289,7 +290,8 @@ def _decompose_multi_impl(
             chi_cache[key] = node
             if traced:
                 observe.add("chi_computed")
-                observe.add("chi_nodes", zspace.bdd.size(node))
+                if not zspace.bitset:
+                    observe.add("chi_nodes", zspace.bdd.size(node))
         elif traced:
             observe.add("chi_cache_hits")
         return node
@@ -300,7 +302,10 @@ def _decompose_multi_impl(
             observe.add("outputs", m)
             observe.add("global_classes", p)
             observe.add("pool_functions", len(d_pool))
-            observe.add("zspace_nodes", zspace.bdd.num_nodes)
+            if zspace.bitset:
+                observe.add("bitset_zspaces")
+            else:
+                observe.add("zspace_nodes", zspace.bdd.num_nodes)
             observe.gauge("max_global_classes", p)
             observe.gauge("max_pool_functions", len(d_pool))
 

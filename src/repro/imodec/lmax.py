@@ -5,10 +5,11 @@ incomplete outputs, find a z-vertex contained in the onset of a maximum
 number of them -- i.e. a decomposition function preferable for a maximum
 number of outputs (the column of Fig. 5 with the most 1s).
 
-The computation is fully implicit: a layered DP over BDDs maintains, for
+The computation is fully implicit: a layered DP over characteristic
+functions (BDDs or bit sets, :mod:`repro.imodec.zspace`) maintains, for
 every count ``c``, the characteristic function of the z-vertices lying in
 exactly ``c`` of the chi's processed so far.  After all m functions the
-highest non-empty layer is the answer.  m+1 layers and 2m BDD operations per
+highest non-empty layer is the answer.  m+1 layers and 2m set operations per
 chi -- no covering table is ever enumerated.
 """
 
@@ -17,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from repro.bdd.manager import FALSE, TRUE
 from repro.errors import DecompositionError
-from repro.imodec.zspace import ZSpace
+from repro.imodec.zspace import BaseZSpace
 
 TieBreak = Literal["first", "balanced"]
 
@@ -30,7 +30,7 @@ class LmaxResult:
 
     Attributes:
         count: the maximum number of chi's sharing a vertex.
-        winners: BDD node (in the z-space) of all vertices achieving it.
+        winners: the set (in the z-space) of all vertices achieving it.
         vertex: one chosen winning vertex as a total level->bool assignment.
     """
 
@@ -39,90 +39,55 @@ class LmaxResult:
     vertex: dict[int, bool]
 
 
-def count_layers(zspace: ZSpace, chis: Sequence[int]) -> list[int]:
+def count_layers(zspace: BaseZSpace, chis: Sequence[int]) -> list[int]:
     """Layer ``c`` = characteristic function of membership in exactly c chis."""
-    bdd = zspace.bdd
-    layers = [TRUE]
+    and_, or_, not_, false = zspace.and_, zspace.or_, zspace.not_, zspace.false
+    layers = [zspace.true]
     for chi in chis:
-        not_chi = bdd.apply_not(chi)
-        new_layers = [FALSE] * (len(layers) + 1)
+        not_chi = not_(chi)
+        new_layers = [false] * (len(layers) + 1)
         for c, layer in enumerate(layers):
-            if layer == FALSE:
+            if layer == false:
                 continue
-            new_layers[c] = bdd.apply_or(new_layers[c], bdd.apply_and(layer, not_chi))
-            new_layers[c + 1] = bdd.apply_or(new_layers[c + 1], bdd.apply_and(layer, chi))
+            new_layers[c] = or_(new_layers[c], and_(layer, not_chi))
+            new_layers[c + 1] = or_(new_layers[c + 1], and_(layer, chi))
         layers = new_layers
     return layers
 
 
-def pick_vertex(zspace: ZSpace, winners: int, tie_break: TieBreak = "first") -> dict[int, bool]:
+def pick_vertex(
+    zspace: BaseZSpace, winners: int, tie_break: TieBreak = "first"
+) -> dict[int, bool]:
     """Choose one vertex from a non-empty winner set.
 
     ``first`` extends ``sat_one`` with zeros (deterministic, cheap).
-    ``balanced`` walks the BDD preferring the branch that keeps the number of
-    onset classes close to half of ``p`` -- a mild heuristic that tends to
-    produce decomposition functions with balanced code usage.
+    ``balanced`` walks the levels preferring the branch that keeps the
+    number of onset classes close to half of ``p`` -- a mild heuristic that
+    tends to produce decomposition functions with balanced code usage.
 
-    The balanced walk descends with the manager's :meth:`BDD.low` /
-    :meth:`BDD.high` accessors, which propagate the complement attribute of
-    the incoming edge (required since the complement-edge engine: reading
-    the stored child arrays directly would flip the chosen branch under a
-    negated winner set).  Levels the walk never meets -- skipped free
-    variables -- leave the current edge untouched, so the walk ends on the
-    TRUE terminal for every choice of free values; anything else means the
-    winner set was corrupt and raises :class:`DecompositionError`.
+    Both z-space representations pick the same vertex from the same set
+    (:meth:`~repro.imodec.zspace.BitZSpace.first_vertex`,
+    :meth:`~repro.imodec.zspace.BitZSpace.balanced_vertex`); the BDD walk
+    raises :class:`DecompositionError` on a corrupt winner set.
     """
-    bdd = zspace.bdd
-    if winners == FALSE:
+    if winners == zspace.false:
         raise ValueError("winner set is empty")
     if tie_break == "first":
-        partial = bdd.sat_one(winners)
-        if partial is None:
-            raise DecompositionError(
-                "sat_one returned no model for a non-FALSE winner set"
-            )
-        return {lvl: partial.get(lvl, False) for lvl in zspace.levels}
+        return zspace.first_vertex(winners)
     if tie_break != "balanced":
         raise ValueError(f"unknown tie-break strategy {tie_break!r}")
-
-    target = zspace.p // 2
-    vertex: dict[int, bool] = {}
-    ones = 0
-    node = winners
-    for lvl in zspace.levels:
-        if not bdd.is_terminal(node) and bdd.level(node) == lvl:
-            # Polarity-propagating accessors: complement edges resolved here.
-            lo, hi = bdd.low(node), bdd.high(node)
-            prefer_one = ones < target
-            if prefer_one and hi != FALSE:
-                vertex[lvl] = True
-                node = hi
-            elif lo != FALSE:
-                vertex[lvl] = False
-                node = lo
-            else:
-                vertex[lvl] = True
-                node = hi
-        else:
-            # free variable: choose by balance
-            vertex[lvl] = ones < target
-        if vertex[lvl]:
-            ones += 1
-    if node != TRUE:
-        raise DecompositionError(
-            "balanced tie-break walk left the winner set (ended on "
-            f"edge {node} instead of TRUE); the z-space BDD is inconsistent"
-        )
-    return vertex
+    return zspace.balanced_vertex(winners)
 
 
-def lmax(zspace: ZSpace, chis: Sequence[int], tie_break: TieBreak = "first") -> LmaxResult:
+def lmax(
+    zspace: BaseZSpace, chis: Sequence[int], tie_break: TieBreak = "first"
+) -> LmaxResult:
     """Find a vertex preferable for a maximum number of outputs."""
     if not chis:
         raise ValueError("need at least one characteristic function")
     layers = count_layers(zspace, chis)
     for count in range(len(layers) - 1, -1, -1):
-        if layers[count] != FALSE:
+        if layers[count] != zspace.false:
             vertex = pick_vertex(zspace, layers[count], tie_break)
             return LmaxResult(count=count, winners=layers[count], vertex=vertex)
     raise DecompositionError("layer 0 is the full space; unreachable")

@@ -245,6 +245,7 @@ def prepare_synthesis(network: Network, config: FlowConfig) -> PreparedRun:
                 min(config.bound_size or config.k, config.k),
                 max_group=config.max_group,
                 max_globals=config.max_globals,
+                kernel=engine.partition_kernel(),
             )
         groups = [[nontrivial[i] for i in g] for g in groups_idx]
         grouped = {i for g in groups for i in g}

@@ -176,6 +176,7 @@ def synthesize_structural(
                     min(config.bound_size or config.k, config.k),
                     max_group=config.max_group,
                     max_globals=config.max_globals,
+                    kernel=engine.partition_kernel(),
                 )
             else:
                 groups = [[i] for i in range(len(batch))]

@@ -37,15 +37,27 @@ How a triple is computed:
   local partitions (:meth:`BoundSetKernel.local_partitions`), which trial
   decompositions read instead of cofactoring again.
 
+One output whose support is exactly the candidate levels is searched
+without class-id vectors (:meth:`BoundSetKernel.column_search`): every
+candidate is then a subset of the support, so both scorers' keys reduce to
+``l``, the number of distinct cofactor columns, and the packed table is
+permuted so that each candidate's columns are whole bytes that a set
+counts directly.
+
 The memo:
 
 - Class-id vectors are keyed by (output edge, ``D``) and reused across
   candidates, calls and both scorers.  Triples are keyed by (vector,
   ``B`` as a set): a triple does not depend on the order of ``B``'s
   variables.
-- A kernel belongs to one caller-created scope (one per
-  ``partition_outputs`` call, one per decomposition policy instance); it
-  is never process-global, so two runs in one process do the same work.
+- Each search's chosen bound set is kept under (vector, candidate levels,
+  bound size, strategy, scorer), so a repeated search is one lookup
+  (:meth:`BoundSetKernel.winner`).
+- A kernel belongs to one caller-created scope: one per
+  ``partition_outputs`` call, or one per decomposition policy instance,
+  which a serial run's ``partition_outputs`` borrows when the policy will
+  decompose the groups on the same manager.  It is never process-global,
+  so two runs in one process do the same work.
 - Node ids mean something only inside their manager, so a kernel serves
   one manager at a time: handing it another manager empties it first.
 - It holds at most :data:`MAX_ENTRIES` entries; past that the oldest half
@@ -54,8 +66,9 @@ The memo:
 
 from __future__ import annotations
 
+import struct
 import weakref
-from itertools import islice
+from itertools import combinations, islice
 from operator import itemgetter
 from typing import Sequence
 
@@ -76,6 +89,32 @@ Triple = tuple[int, int, int]
 
 #: A class-id vector: entry ``x`` is the class of the cofactor at vertex ``x``.
 Ids = bytes | tuple[int, ...]
+
+#: Fewest free variables for :meth:`BoundSetKernel.column_search`: a column
+#: of ``2^3`` rows is one whole byte.
+COLUMN_MIN_FREE = 3
+
+#: ``memoryview`` format of a column of 1, 2, 4 or 8 bytes.
+_COLUMN_FORMATS = {struct.calcsize(code): code for code in "BHIQ"}
+
+# (n, i, j) -> rows of a 2^n-row table whose bit i is set and bit j is not;
+# n <= TT_MAX_VARS bounds it to a few hundred masks of at most 2 KiB
+_SWAP_MASKS: dict[tuple[int, int, int], int] = {}
+
+
+def _swap_positions(table: int, n: int, i: int, j: int) -> int:
+    """``table`` (2^n rows) with row-index bits ``i < j`` exchanged.
+
+    A delta swap: the row with bit ``i`` set and bit ``j`` clear trades its
+    value with the row ``2^j - 2^i`` above it.
+    """
+    mask = _SWAP_MASKS.get((n, i, j))
+    if mask is None:
+        mask = row_mask(n, i) & ~row_mask(n, j)
+        _SWAP_MASKS[(n, i, j)] = mask
+    delta = (1 << j) - (1 << i)
+    x = ((table >> delta) ^ table) & mask
+    return table ^ x ^ (x << delta)
 
 
 def vertex_cofactor_keys(table: int, n: int, positions: Sequence[int]) -> list[int]:
@@ -149,7 +188,10 @@ class BoundSetKernel:
         self._next_vector = 0
         # (union size, bit positions of D in the union) -> gather
         self._gathers: dict[tuple[int, tuple[int, ...]], itemgetter] = {}
-        self._size = 0  # entries of all five tables together
+        # (vector id, candidate levels, bound size, strategy, scorer) ->
+        # the bound set that search chose
+        self._winners: dict[tuple, tuple[int, ...]] = {}
+        self._size = 0  # entries of all six tables together
 
     def __len__(self) -> int:
         """Number of memo entries held."""
@@ -171,7 +213,7 @@ class BoundSetKernel:
     def _memos(self) -> tuple[dict, ...]:
         return (
             self._tables, self._classes, self._triples, self._vectors,
-            self._gathers,
+            self._gathers, self._winners,
         )
 
     def _store(self, table: dict, key: object, value: object) -> None:
@@ -242,6 +284,101 @@ class BoundSetKernel:
             self._store(self._gathers, key, gather)
         return gather
 
+    def _vector_id(self, vector: tuple[int, ...]) -> int:
+        """The id of an output vector (a new one on first sight)."""
+        vid = self._vectors.get(vector)
+        if vid is None:
+            vid = self._next_vector
+            self._next_vector += 1
+            self._store(self._vectors, vector, vid)
+        return vid
+
+    def winner(
+        self, bdd: BDD, f_nodes: Sequence[int], search: tuple
+    ) -> tuple[int, ...] | None:
+        """The bound set a search already chose for this vector, or None.
+
+        ``search`` is (candidate levels, bound size, strategy, scorer).
+        """
+        self._bind(bdd)
+        return self._winners.get((self._vector_id(tuple(f_nodes)), *search))
+
+    def remember_winner(
+        self, bdd: BDD, f_nodes: Sequence[int], search: tuple,
+        bound_set: Sequence[int],
+    ) -> None:
+        """Keep the bound set a search chose (see :meth:`winner`)."""
+        self._bind(bdd)
+        key = (self._vector_id(tuple(f_nodes)), *search)
+        self._store(self._winners, key, tuple(bound_set))
+
+    def column_search(
+        self, bdd: BDD, f: int, levels: Sequence[int], size: int
+    ) -> tuple[tuple[int, ...], int] | None:
+        """Exhaustive first-minimum search for one output, by column count.
+
+        Applies when the support of ``f`` is exactly ``levels``, fits
+        :data:`TT_MAX_VARS`, and leaves at least :data:`COLUMN_MIN_FREE`
+        free variables; returns None otherwise.  Then every candidate ``B``
+        lies inside the support, so its triple is ``(l, l, |B|)`` with ``l``
+        the number of distinct cofactor columns, and both scorers order the
+        candidates by ``l`` alone.  ``l >= 2`` because ``f`` depends on
+        every bound variable, so the scan stops at the first ``l = 2``.
+
+        For each candidate, in :func:`itertools.combinations` order, delta
+        swaps move the bound variables to the top row-index bits of the
+        packed table; the ``2^|B|`` columns are then consecutive runs of
+        whole bytes, counted as a set.  Returns the first candidate with the
+        fewest columns and the number of candidates examined; the winner's
+        triple joins the memo.
+        """
+        free = len(levels) - size
+        if free < COLUMN_MIN_FREE:
+            return None
+        self._bind(bdd)
+        tabulated = self._table(bdd, f)
+        if tabulated is None:
+            return None
+        table, pos_of = tabulated
+        n = len(pos_of)
+        if len(levels) != n or pos_of.keys() != set(levels):
+            return None
+        nbytes = 1 << (n - 3)
+        width = 1 << (free - 3)  # bytes per column
+        code = _COLUMN_FORMATS.get(width)
+        top = range(free, n)
+        best = best_combo = None
+        examined = 0
+        for combo, bound in zip(
+            combinations(levels, size),
+            combinations([pos_of[lvl] for lvl in levels], size),
+        ):
+            examined += 1
+            moved = table
+            low = [pos for pos in bound if pos < free]
+            if low:
+                high = [pos for pos in top if pos not in bound]
+                for i, j in zip(low, high):
+                    moved = _swap_positions(moved, n, i, j)
+            data = moved.to_bytes(nbytes, "little")
+            if code is not None:
+                count = len(set(memoryview(data).cast(code)))
+            else:
+                count = len({
+                    data[k:k + width] for k in range(0, nbytes, width)
+                })
+            if best is None or count < best:
+                best, best_combo = count, combo
+                if count == 2:
+                    break
+        bmask = 0
+        for lvl in best_combo:
+            bmask |= 1 << lvl
+        key = (self._vector_id((f,)), bmask)
+        if key not in self._triples:
+            self._store(self._triples, key, (best, best, size))
+        return best_combo, examined
+
     def triples(
         self,
         bdd: BDD,
@@ -251,11 +388,7 @@ class BoundSetKernel:
         """The triple of every candidate bound set in ``combos``, in order."""
         self._bind(bdd)
         vector = tuple(f_nodes)
-        vid = self._vectors.get(vector)
-        if vid is None:
-            vid = self._next_vector
-            self._next_vector += 1
-            self._store(self._vectors, vector, vid)
+        vid = self._vector_id(vector)
         # support masks, and level -> outputs depending on it
         supports: list[int] = []
         touched_by: dict[int, list[int]] = {}

@@ -27,6 +27,7 @@ Every chosen group is the same as with unbounded trials.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -207,17 +208,23 @@ def partition_outputs(
     bound_size: int,
     max_group: int | None = None,
     max_globals: int | None = 64,
+    kernel: BoundSetKernel | None = None,
 ) -> list[list[int]]:
     """Group output indices into decomposition vectors (the paper's heuristic).
 
     Every bound-set search of the call shares one
-    :class:`~repro.partitioning.kernel.BoundSetKernel`, emptied on return.
+    :class:`~repro.partitioning.kernel.BoundSetKernel`: ``kernel`` when
+    given, which keeps its memo for the caller (a serial run passes the
+    decomposition policy's, whose searches then start from the trials'
+    winners), else a private one, emptied on return.
 
     Recorded under a ``partition_outputs`` span (trial-decomposition counts,
     trials the gain bound stopped, skipped duplicate scorers, resulting
     group shapes) when a tracer is installed.
     """
-    with observe.span("partition_outputs"), BoundSetKernel() as kernel:
+    with observe.span("partition_outputs"), (
+        nullcontext(kernel) if kernel is not None else BoundSetKernel()
+    ) as kernel:
         groups = _partition_outputs_impl(
             bdd, f_nodes, input_levels, bound_size, max_group, max_globals, kernel
         )

@@ -15,10 +15,14 @@ extension).
 Every candidate is scored by one exact kernel
 (:class:`repro.partitioning.kernel.BoundSetKernel`), which memoizes the
 per-output class structure and the per-candidate score across candidates,
-calls and both scorers.  Candidate enumeration order is fixed and ties
-always resolve to the earliest candidate, so the chosen bound set equals a
-plain first-minimum scan over :func:`score_bound_set`, the reference
-scorer the tests compare the kernel against.
+calls and both scorers, and remembers each search's winner, so a repeated
+search is one lookup.  An exhaustive search over one output whose support
+is exactly the candidate levels counts distinct cofactor columns instead
+(:meth:`~repro.partitioning.kernel.BoundSetKernel.column_search`), which
+orders the candidates the same way.  Candidate enumeration order is fixed
+and ties always resolve to the earliest candidate, so the chosen bound set
+equals a plain first-minimum scan over :func:`score_bound_set`, the
+reference scorer the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -104,12 +108,13 @@ def choose_bound_set(
     Returns ``(bs_levels, fs_levels)``.  The free set is never empty: at
     most ``len(input_levels) - 1`` variables can be bound.  Candidates are
     scored by ``kernel``; pass the scope's kernel to reuse its memo (the
-    winner's score can then be read back with ``kernel.score``), or leave
+    winner's score can then be read back with ``kernel.score``, and the
+    same search again is answered from the kernel's winner memo), or leave
     it out to score with a kernel private to this call.
 
-    Recorded under a ``choose_bound_set`` span (candidates scored, scoring
-    route taken) when a tracer is installed; tracing never changes the
-    chosen bound set.
+    Recorded under a ``choose_bound_set`` span (candidates scored, winner
+    memo hits, scoring route taken) when a tracer is installed; tracing
+    never changes the chosen bound set.
     """
     levels = list(input_levels)
     n = len(levels)
@@ -125,33 +130,59 @@ def choose_bound_set(
             rng = rng or random.Random(0)
             bs = rng.sample(levels, bound_size)
         elif strategy in ("exhaustive", "greedy"):
+            if scorer not in ("compact", "shared"):
+                raise ValueError(f"unknown scorer {scorer!r}")
             if kernel is None:
                 kernel = BoundSetKernel()
             observe.add(
                 "tt_fast_path" if tabulable(bdd, f_nodes) else "bdd_scoring_path"
             )
-            if strategy == "exhaustive":
-                combos = list(itertools.combinations(levels, bound_size))
-                observe.add("candidates_scored", len(combos))
-                triples = kernel.triples(bdd, f_nodes, combos)
-                bs = list(combos[_first_minimum(triples, scorer)])
+            search = (tuple(levels), bound_size, strategy, scorer)
+            bs = kernel.winner(bdd, f_nodes, search)
+            if bs is not None:
+                observe.add("bound_set_memo_hits")
             else:
-                bs = []
-                remaining = list(levels)
-                while len(bs) < bound_size:
-                    observe.add("candidates_scored", len(remaining))
-                    triples = kernel.triples(
-                        bdd, f_nodes, [bs + [var] for var in remaining]
-                    )
-                    best_var = remaining[_first_minimum(triples, scorer)]
-                    bs.append(best_var)
-                    remaining.remove(best_var)
+                bs = _search(bdd, f_nodes, levels, bound_size, strategy, scorer, kernel)
+                kernel.remember_winner(bdd, f_nodes, search, bs)
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
 
     bs_sorted = sorted(bs)
     fs = [lvl for lvl in levels if lvl not in set(bs_sorted)]
     return bs_sorted, fs
+
+
+def _search(
+    bdd: BDD,
+    f_nodes: Sequence[int],
+    levels: list[int],
+    bound_size: int,
+    strategy: Strategy,
+    scorer: Scorer,
+    kernel: BoundSetKernel,
+) -> list[int]:
+    """The first best candidate of an exhaustive or greedy search."""
+    if strategy == "exhaustive":
+        found = None
+        if len(f_nodes) == 1:
+            found = kernel.column_search(bdd, f_nodes[0], levels, bound_size)
+        if found is not None:
+            bs, examined = found
+            observe.add("candidates_scored", examined)
+            return list(bs)
+        combos = list(itertools.combinations(levels, bound_size))
+        observe.add("candidates_scored", len(combos))
+        triples = kernel.triples(bdd, f_nodes, combos)
+        return list(combos[_first_minimum(triples, scorer)])
+    bs: list[int] = []
+    remaining = list(levels)
+    while len(bs) < bound_size:
+        observe.add("candidates_scored", len(remaining))
+        triples = kernel.triples(bdd, f_nodes, [bs + [var] for var in remaining])
+        best_var = remaining[_first_minimum(triples, scorer)]
+        bs.append(best_var)
+        remaining.remove(best_var)
+    return bs
 
 
 def _n_choose_k(n: int, k: int) -> int:

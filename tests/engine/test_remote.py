@@ -9,6 +9,7 @@ expiry fails the task) exercised with handcrafted envelopes.
 """
 
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from repro.engine.remote import (
     TaskBroker,
     run_worker,
 )
+from repro.engine.remote.executor import CONNECT_WAIT_SECONDS
 from repro.engine.remote.wire import TASK_SCHEMA
 from repro.errors import FaultInjected
 from repro.io.blif import write_blif
@@ -281,6 +283,23 @@ class TestSharedCache:
         assert cold.engine_stats.cache_stores == 3
         # Every group was answered (and verified) before submission.
         assert warm.engine_stats.remote["tasks_submitted"] == 0
+
+    def test_cache_answered_run_needs_no_broker(self, tmp_path):
+        # The broker is contacted at the first real submission, so a run
+        # the cache answers completely never waits for an absent broker.
+        net = bench("rd53")
+        db = str(tmp_path / "results.db")
+        cold = synthesize(net.copy(), FlowConfig(cache_db=db))
+        start = time.monotonic()
+        warm = synthesize(net.copy(), remote_config("127.0.0.1:1", cache_db=db))
+        elapsed = time.monotonic() - start
+        golden = "18202d2aa0294ba9a10e87feafb7ec980560627b40e756a6deccf2482c64816f"
+        blif = write_blif(warm.network)
+        assert blif == write_blif(cold.network)
+        assert hashlib.sha256(blif.encode()).hexdigest() == golden
+        assert warm.engine_stats.cache_hits == 3
+        assert warm.engine_stats.remote["tasks_submitted"] == 0
+        assert elapsed < CONNECT_WAIT_SECONDS / 2
 
 
 def make_envelope(task_id: str, lease: float, fault: bool = True) -> dict:
