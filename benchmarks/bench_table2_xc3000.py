@@ -7,14 +7,24 @@ and compare against the paper's reference values.  The headline claim is the
 CLBs, with an average reduction around 38 % in the paper.
 
 Absolute counts are expected to differ where the circuit is a synthetic
-equivalent (see DESIGN.md section 4); the table prints both.
+equivalent (see DESIGN.md section 4); the table prints both.  The
+machine-readable ``BENCH_table2_xc3000.json`` holds both CLB columns of
+every row and the IMODEC run's per-phase breakdown.
 """
 
 import time
 
 import pytest
 
-from benchmarks.conftest import QUICK, emit, fmt, reset_results
+from benchmarks.conftest import (
+    QUICK,
+    emit,
+    fmt,
+    json_row,
+    reset_results,
+    run_traced,
+    write_json,
+)
 from repro.benchcircuits import get_circuit, list_circuits
 from repro.mapping.flow import FlowConfig, synthesize, verify_flow
 from repro.mapping.xc3000 import pack_xc3000
@@ -55,8 +65,18 @@ def _report():
                  f"(paper, same rows: {p_saving:.0f}%; paper, full set: 38%)")
     wins = sum(1 for r in _rows if r["multi"] < r["single"])
     ties = sum(1 for r in _rows if r["multi"] == r["single"])
+    losses = len(_rows) - wins - ties
     emit(MODULE, f"  win/tie/loss for multiple-output: "
-                 f"{wins}/{ties}/{len(_rows) - wins - ties}")
+                 f"{wins}/{ties}/{losses}")
+    write_json(
+        MODULE,
+        total_clb_multi=tot_multi,
+        total_clb_single=tot_single,
+        saving_pct=round(saving, 1),
+        wins=wins,
+        ties=ties,
+        losses=losses,
+    )
 
 
 @pytest.mark.parametrize("name", CIRCUITS)
@@ -66,10 +86,12 @@ def test_table2_circuit(benchmark, name):
     cap = GROUP_CAPS.get(name)
 
     def run_multi():
-        return synthesize(net, FlowConfig(k=5, mode="multi", max_group=cap))
+        return run_traced(
+            lambda: synthesize(net, FlowConfig(k=5, mode="multi", max_group=cap))
+        )
 
     start = time.perf_counter()
-    multi = benchmark.pedantic(run_multi, rounds=1, iterations=1)
+    multi, phases = benchmark.pedantic(run_multi, rounds=1, iterations=1)
     cpu = time.perf_counter() - start
     single = synthesize(net, FlowConfig(k=5, mode="single"))
 
@@ -87,3 +109,16 @@ def test_table2_circuit(benchmark, name):
     mp = f"{multi.max_group_outputs}/{multi.max_globals}"
     emit(MODULE, f"{name:>8} {mp:>7} | {clb_multi:>7} {clb_single:>7} | "
                  f"{fmt(paper.imodec_clb)} {fmt(paper.single_clb)} | {cpu:>7.1f}")
+    stats = multi.bdd_stats
+    json_row(
+        MODULE,
+        name=name,
+        clb_multi=clb_multi,
+        clb_single=clb_single,
+        max_outputs=multi.max_group_outputs,
+        max_globals=multi.max_globals,
+        cpu_s=round(cpu, 2),
+        bdd_nodes=stats.nodes,
+        cache_hit_rate=round(stats.hit_rate, 4),
+        phases=phases,
+    )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -71,18 +72,37 @@ def run_traced(fn):
     return result, flatten_phases(build_report(tracer))
 
 
+def source_commit() -> str | None:
+    """``git describe --always --dirty`` of the measured tree, if it is a
+    git checkout (``-dirty``: uncommitted changes were measured)."""
+    try:
+        proc = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).parent, capture_output=True, text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if proc.returncode != 0:
+        return None
+    return proc.stdout.strip() or None
+
+
 def write_json(module: str, **meta: Any) -> None:
     """Write the queued records of a module as ``BENCH_<module>.json``.
 
     The JSON artifacts sit next to the human-readable ``.txt`` tables and
     are committed so the performance trajectory (wall-clock, node counts,
-    cache hit rates) stays diffable across PRs.
+    cache hit rates) stays diffable across PRs.  Each names the commit it
+    measured and the host's CPU count.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
         "module": module,
         "quick": QUICK,
         "generated": time.strftime("%Y-%m-%d %H:%M:%S"),
+        "commit": source_commit(),
+        "host_cpus": os.cpu_count(),
         **meta,
         "rows": _JSON_ROWS.pop(module, []),
     }

@@ -45,6 +45,28 @@ def cofactor_map(bdd: BDD, f: int, bs_levels: Sequence[int]) -> list[int]:
     return maps
 
 
+def class_cofactors(
+    bdd: BDD, f: int, bs_levels: Sequence[int], partition: Partition
+) -> list[int]:
+    """:func:`cofactor_map` from one restrict per class of ``partition``.
+
+    ``partition`` must be ``f``'s local compatibility partition over the
+    vertices of ``bs_levels``: every vertex of a class has the same
+    cofactor, so ``f`` is restricted once per class, at the class's first
+    vertex and on the bound levels in its support.  The manager is
+    canonical, so the nodes equal :func:`cofactor_map`'s.
+    """
+    support = bdd.support(f)
+    levels = [(j, lvl) for j, lvl in enumerate(bs_levels) if lvl in support]
+    per_class: list[int] = []
+    for x, label in enumerate(partition.labels):
+        if label == len(per_class):  # labels number classes by first vertex
+            per_class.append(
+                bdd.restrict(f, {lvl: bool((x >> j) & 1) for j, lvl in levels})
+            )
+    return [per_class[label] for label in partition.labels]
+
+
 def local_partition(bdd: BDD, f: int, bs_levels: Sequence[int]) -> Partition:
     """The local compatibility partition ``Pi_f = X / R_f`` (Definition 1)."""
     return Partition.from_keys(cofactor_map(bdd, f, bs_levels))

@@ -49,6 +49,7 @@ behind the two calls the flows need: ``run_groups`` and ``stats``.
 
 from __future__ import annotations
 
+import atexit
 import signal
 import sys
 import threading
@@ -56,7 +57,8 @@ import time
 from concurrent.futures import (
     BrokenExecutor,
     CancelledError,
-    ProcessPoolExecutor,
+    Future,
+    InvalidStateError,
 )
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace as dc_replace
@@ -86,6 +88,8 @@ from repro.errors import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (flow imports engine)
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.mapping.flow import FlowConfig
     from repro.partitioning.kernel import BoundSetKernel
 
@@ -439,13 +443,17 @@ class ProcessExecutor:
 
         A killed worker is noticed asynchronously by the pool's management
         thread, so a pool that looked healthy when the last result was
-        collected can be broken by the time the next run dispatches.
+        collected can be broken by the time the next run dispatches.  The
+        future is made a :class:`_PoolFuture`, so cancelling it stays safe
+        while the pool breaks.
         """
         try:
-            return _get_pool(self.workers).submit(run_group, payload)
+            future = _get_pool(self.workers).submit(run_group, payload)
         except BrokenExecutor:
             _reset_pool()
-            return _get_pool(self.workers).submit(run_group, payload)
+            future = _get_pool(self.workers).submit(run_group, payload)
+        future.__class__ = _PoolFuture
+        return future
 
     def collect_groups(
         self,
@@ -739,6 +747,27 @@ class ProcessExecutor:
         )
 
 
+class _PoolFuture(Future):
+    """A pool future that a breaking pool may fail after it was cancelled.
+
+    When a worker dies, CPython 3.11's ``ProcessPoolExecutor`` fails every
+    work item its manager thread still holds, including the queued ones
+    the drain cancelled (:meth:`ProcessExecutor._cancel_outstanding`).
+    ``set_exception`` on a cancelled future raises ``InvalidStateError``,
+    and the manager thread dies of it before failing the remaining futures
+    or reaping its workers.  A cancelled future needs no failure, so this
+    one ignores the error.
+    """
+
+    def set_exception(self, exception) -> None:
+        """Fail the future, unless it was cancelled first."""
+        try:
+            super().set_exception(exception)
+        except InvalidStateError:
+            if not self.cancelled():
+                raise
+
+
 class _InProcessFuture:
     """One group mapped in the parent when the drain first asks for it.
 
@@ -863,8 +892,14 @@ def _init_worker() -> None:
 
 
 def _get_pool(jobs: int) -> ProcessPoolExecutor:
-    """The shared worker pool, (re)built for the requested width."""
+    """The shared worker pool, (re)built for the requested width.
+
+    The pool class is imported here, so a run that never builds a pool
+    loads neither ``concurrent.futures.process`` nor ``multiprocessing``.
+    """
     global _POOL, _POOL_JOBS
+    from concurrent.futures import ProcessPoolExecutor
+
     with _POOL_LOCK:
         if _POOL is None or _POOL_JOBS != jobs:
             if _POOL is not None:
@@ -908,6 +943,12 @@ def shutdown_pool(force: bool = False) -> None:
             proc.terminate()
         except (OSError, ValueError):  # already dead / closed handle
             pass
+
+
+# Drop the pool while every module is still intact: the pool module is
+# imported after this one, so interpreter teardown clears it first, and a
+# pool collected after that fails in its own weakref callback.
+atexit.register(shutdown_pool)
 
 
 def make_executor(config: "FlowConfig") -> Executor:

@@ -166,6 +166,7 @@ class LadderPeelPolicy:
                 tie_break=config.tie_break,
                 dc_fill=config.dc_fill,
                 strict=config.strict,
+                local_partitions=self.kernel.local_partitions(bdd, vec, bs_),
             )
             prog = res.progressing_outputs(bdd, vec, bs_)
             g_inputs = res.composition_inputs(bdd, vec, bs_)

@@ -26,7 +26,7 @@ from typing import Sequence
 from repro import observe
 from repro.bdd.manager import BDD
 from repro.boolfunc.truthtable import TruthTable
-from repro.decompose.compat import codewidth, cofactor_map
+from repro.decompose.compat import class_cofactors, codewidth, cofactor_map
 from repro.decompose.gfunc import build_g as build_g_node
 from repro.decompose.partitions import Partition
 from repro.imodec.chi import chi_for_output
@@ -198,8 +198,10 @@ def decompose_multi(
     - ``local_partitions`` are the outputs' local compatibility partitions
       over the vertices of ``bs_levels`` (Definition 1), e.g. from
       :meth:`repro.partitioning.kernel.BoundSetKernel.local_partitions`.
-      The outputs are cofactored only when these are not given or
-      ``build_g`` is set; with both, the call adds nothing to ``bdd``.
+      Without them every output is cofactored at every bound-set vertex.
+      With them and ``build_g=False`` the call adds nothing to ``bdd``;
+      with ``build_g`` set, each output is restricted once per local class
+      (:func:`repro.decompose.compat.class_cofactors`).
     - ``max_functions=L`` returns None as soon as ``q >= L`` is certain.
       At the start of every Lmax iteration
       ``q >= max(ceil(ld p), |pool| + max_k (c_k - |assigned_k|))``:
@@ -248,12 +250,16 @@ def _decompose_multi_impl(
         raise ValueError("need at least one output")
 
     cofactors: list[list[int]] = []
-    if build_g or local_partitions is None:
-        cofactors = [cofactor_map(bdd, f, bs) for f in f_nodes]
     if local_partitions is None:
+        cofactors = [cofactor_map(bdd, f, bs) for f in f_nodes]
         local_parts = [Partition.from_keys(cof) for cof in cofactors]
     else:
         local_parts = list(local_partitions)
+        if build_g:
+            cofactors = [
+                class_cofactors(bdd, f, bs, part)
+                for f, part in zip(f_nodes, local_parts)
+            ]
     global_part = global_partition(local_parts)
     p = global_part.num_blocks
     codewidths = [codewidth(part.num_blocks) for part in local_parts]

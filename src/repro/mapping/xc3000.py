@@ -8,15 +8,16 @@ together use at most five distinct input signals.
 Packing is therefore a matching problem: build the compatibility graph over
 the <=4-input LUTs (edge = combined support <= 5) and take a maximum
 matching; every matched pair shares one CLB, everything else gets its own.
-networkx's max-cardinality matching keeps this exact rather than greedy.
+Edmonds' blossom algorithm (:mod:`repro.mapping.matching`) keeps this exact
+rather than greedy: the CLB count is the LUT count minus the size of a
+maximum matching, which is unique even where the pairs are not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
+from repro.mapping.matching import maximum_matching
 from repro.network.network import Network
 
 
@@ -40,25 +41,35 @@ def pack_xc3000(network: Network, k: int = 5, pair_fanin: int = 4) -> PackingRes
     nodes are free (tied-off inputs) and consume no CLB.
     """
     lut_names = []
-    supports: dict[str, frozenset[str]] = {}
+    pairable: list[str] = []
+    masks: list[int] = []  # support of each pairable LUT as a bit set
+    bit: dict[str, int] = {}
     for name, node in network.nodes.items():
         if not node.fanins:
             continue  # constants are tied off, no CLB needed
         if len(node.fanins) > k:
             raise ValueError(f"node {name!r} exceeds {k} inputs")
         lut_names.append(name)
-        supports[name] = frozenset(node.fanins)
+        support = set(node.fanins)
+        if len(support) <= pair_fanin:
+            pairable.append(name)
+            masks.append(
+                sum(1 << bit.setdefault(s, len(bit)) for s in support)
+            )
 
-    graph = nx.Graph()
-    pairable = [n for n in lut_names if len(supports[n]) <= pair_fanin]
-    graph.add_nodes_from(pairable)
-    for i, a in enumerate(pairable):
-        for b in pairable[i + 1 :]:
-            if len(supports[a] | supports[b]) <= k:
-                graph.add_edge(a, b)
+    adjacency: list[list[int]] = [[] for _ in pairable]
+    for a, mask in enumerate(masks):
+        for b in range(a + 1, len(masks)):
+            if (mask | masks[b]).bit_count() <= k:
+                adjacency[a].append(b)
+                adjacency[b].append(a)
 
-    matching = nx.max_weight_matching(graph, maxcardinality=True)
-    pairs = sorted(tuple(sorted(edge)) for edge in matching)
+    mate = maximum_matching(adjacency)
+    pairs = sorted(
+        tuple(sorted((pairable[a], pairable[b])))
+        for a, b in enumerate(mate)
+        if b > a
+    )
     paired = {n for edge in pairs for n in edge}
     singles = sorted(n for n in lut_names if n not in paired)
     return PackingResult(pairs=pairs, singles=singles)

@@ -9,6 +9,12 @@ pool.  The fault and checkpoint classes run once per executor: the
 ``*Serial`` subclasses repeat them with every group mapped in the parent.
 """
 
+import multiprocessing
+import os
+import signal
+import threading
+from concurrent.futures import BrokenExecutor
+
 import pytest
 
 from repro.algebraic.rugged import rugged
@@ -293,6 +299,36 @@ class TestBatchIsolation:
         assert len(futures) == 13
         assert not queued(futures)
         shutdown_pool(force=True)  # stop the delayed group still running
+
+    def test_cancelled_groups_do_not_kill_a_breaking_pool(self, monkeypatch):
+        # Group 0 fails for good while group 1 holds the one worker, so the
+        # batch cancels the groups still queued on the pool; then the worker
+        # dies.  Failing the pool's pending futures must skip the cancelled
+        # ones: the pool's manager thread used to die there with
+        # InvalidStateError, before failing the rest of its futures or
+        # reaping its workers.  (A kill fault would race the pool's own
+        # purge of cancelled items; killing the busy worker does not.)
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        futures = spy_futures(monkeypatch)
+        plan = FaultPlan(specs=(
+            FaultSpec("drop", group=0, attempts=None),
+            FaultSpec("delay", group=1, seconds=60.0),
+        ))
+        with pytest.raises(GroupFailedError):
+            synthesize_batch(
+                [bench("rd53"), bench("misex1"), bench("5xp1")],
+                FlowConfig(
+                    executor="process", jobs=1, task_retries=0,
+                    degrade_to_serial=False, fault_plan=plan,
+                ),
+            )
+        assert any(f.cancelled() for f in futures)
+        for worker in multiprocessing.active_children():
+            os.kill(worker.pid, signal.SIGKILL)
+        assert isinstance(futures[1].exception(timeout=60), BrokenExecutor)
+        shutdown_pool()  # joins the pool's manager thread
+        assert not errors, [e.exc_value for e in errors]
 
     def test_prepare_failure_is_isolated(self, monkeypatch):
         nets = [bench("rd53"), bench("misex1"), bench("5xp1")]

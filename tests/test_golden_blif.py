@@ -13,7 +13,8 @@ as one pipelined process batch of all four circuits (one or two workers,
 fault-free, with a worker kill, and under a seeded-random fault plan):
 every executor must emit the same bytes.  Naming the
 default target explicitly (``--target xc3000-clb``) must not change them
-either, and the CLI must emit them in an interpreter without numpy.
+either, and the CLI must emit them in an interpreter without numpy or
+networkx.
 """
 
 import hashlib
@@ -61,28 +62,40 @@ def test_rugged_structural_flow():
     assert digest(synthesize_structural(network, FlowConfig(k=5))) == GOLDEN["misex1"]
 
 
-# Runs the CLI in an interpreter where ``import numpy`` raises ImportError.
-_CLI_WITHOUT_NUMPY = (
-    "import sys; sys.modules['numpy'] = None; "
+# Runs the CLI in an interpreter where importing the module named by the
+# first argument raises ImportError.
+_CLI_WITHOUT = (
+    "import sys; sys.modules[sys.argv.pop(1)] = None; "
     "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
 )
 
 
-def test_cli_runs_without_numpy(tmp_path):
-    # numpy is no dependency of the package: the CLI must emit the golden
-    # bytes without it.
+def synth_rd53_without(module: str, tmp_path) -> str:
+    """sha256 of ``synth rd53`` run by a CLI that cannot import ``module``."""
     source = tmp_path / "rd53.blif"
     source.write_text(write_blif(get_circuit("rd53").build()))
     mapped = tmp_path / "mapped.blif"
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", _CLI_WITHOUT_NUMPY,
+        [sys.executable, "-c", _CLI_WITHOUT, module,
          "synth", str(source), "-o", str(mapped)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(mapped.read_bytes()).hexdigest() == GOLDEN["rd53"]
+    assert "CLB" in proc.stdout  # the report packed the mapped network
+    return hashlib.sha256(mapped.read_bytes()).hexdigest()
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    # numpy is no dependency of the package: the CLI must emit the golden
+    # bytes without it.
+    assert synth_rd53_without("numpy", tmp_path) == GOLDEN["rd53"]
+
+
+def test_cli_runs_without_networkx(tmp_path):
+    # Nor is networkx: the CLB packer computes its maximum matching itself.
+    assert synth_rd53_without("networkx", tmp_path) == GOLDEN["rd53"]
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])

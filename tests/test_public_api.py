@@ -1,6 +1,13 @@
 """The documented public API surface works as advertised."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import repro
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestPublicApi:
@@ -35,3 +42,22 @@ class TestPublicApi:
         single = synthesize(net, FlowConfig(k=5, mode="single"))
         assert verify_flow(net, multi)
         assert pack_xc3000(multi.network).num_clbs <= pack_xc3000(single.network).num_clbs
+
+
+def test_imports_load_no_pool_and_no_networkx():
+    # The package has no runtime dependency, and only a run that builds
+    # the process pool pays for multiprocessing.
+    code = (
+        "import sys; import repro, repro.mapping.flow, "
+        "repro.mapping.structural, repro.engine.batch; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('networkx', 'multiprocessing') or m == 'concurrent.futures.process'))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
