@@ -1,18 +1,19 @@
-"""Persistent decomposition-result cache (ROADMAP item 2).
+"""Persistent decomposition-result cache.
 
-The cache turns PR 4's checkpoint keying ("resume *my* run") into a
-fleet-wide memo: output groups are keyed by a *canonical* fingerprint of
-their function vector (:mod:`repro.bdd.canon`), so the same subfunction
-reached in another run, another circuit, or under renamed/permuted/
-complemented inputs skips decomposition entirely.
+The cache turns checkpoint keying ("resume *my* run") into a memo shared
+across runs: each output group is keyed by its payload fingerprint
+(:func:`repro.engine.checkpoint.payload_fingerprint`, the exported
+functions and frontier names), so a re-run that reaches the same
+subproblem -- in the same circuit or another one -- replays the stored
+result instead of decomposing it again.
 
 Layers:
 
 - :mod:`repro.cache.store` -- the persistent key/value store on stdlib
   ``sqlite3`` (WAL mode, schema-versioned, corruption degrades to misses).
 - :mod:`repro.cache.group` -- the engine-facing :class:`GroupCache`:
-  canonicalize, look up, de-canonicalize onto the caller's variables,
-  verify every hit against the requested functions before using it.
+  look up, verify every hit against the requested functions before using
+  it, record fresh results.
 
 See ``docs/CACHING.md`` for the key scheme and failure semantics.
 """

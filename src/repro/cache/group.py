@@ -1,31 +1,21 @@
-"""Engine-facing group cache: canonicalize, look up, rewrite, verify.
+"""Engine-facing group cache: look up by payload fingerprint, verify, record.
 
 One cache entry holds the mapped sub-network of one output group -- the
 same portable :class:`repro.engine.worker.GroupResult` shape that crosses
-the worker process boundary -- stored in *canonical coordinates*:
+the worker process boundary, serialized as a checkpoint entry is
+(:func:`repro.engine.checkpoint.result_to_json`).  It is keyed by the
+group's :func:`repro.engine.checkpoint.payload_fingerprint`, which covers
+the exported DAG and the frontier signal names: a hit is the very
+subproblem that produced the entry, so replaying it emits the bytes a
+fresh decomposition would.
 
-- the group's frontier input signals are replaced by positional tokens
-  (``\\x00<p>`` for canonical position ``p``), with SOP cube columns
-  re-phased by the producer's canonical input polarity, so the payload
-  mentions no caller variable names or polarities;
-- each output carries a phase bit relative to its named signal, so the
-  canonical vector (:mod:`repro.bdd.canon`) is recoverable exactly.
-
-A consumer with its *own* :class:`repro.bdd.canon.CanonicalForm` for the
-same key rewrites the payload back: tokens bind to the consumer's signals
-through the inverse permutation, cube columns re-phase by the consumer's
-input polarity, and an output whose producer/consumer phases disagree gets
-one inverter LUT appended (drivers are never mutated in place -- they may
-be shared).  A warm run over the very circuit that produced the entry has
-identical phases everywhere, so the rewritten result is *structurally
-identical* to the cold one and the merged BLIF is byte-identical.
-
-Soundness never rests on the fingerprint: every hit is **verified** -- the
-rewritten sub-network is evaluated bottom-up as BDDs over the caller's
-manager and compared against the requested functions (the same proof
-obligation as :func:`repro.mapping.flow.verify_flow`, per group).  A
-mismatch (hash collision, foreign corruption) counts as ``cache_rejects``
-and degrades to a miss.
+Soundness never rests on the fingerprint: the database is input from
+outside the program, so every hit is **verified** -- the stored
+sub-network is evaluated bottom-up as BDDs over the caller's manager and
+compared against the requested functions (the same proof obligation as
+:func:`repro.mapping.flow.verify_flow`, per group).  A mismatch (hash
+collision, foreign corruption) counts as ``cache_rejects`` and degrades to
+a miss.
 """
 
 from __future__ import annotations
@@ -33,57 +23,21 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro import observe
-from repro.bdd.canon import CanonicalForm, canonical_form
 from repro.bdd.manager import FALSE, TRUE
 from repro.cache.store import ResultStore, open_store
+from repro.engine.checkpoint import (
+    config_digest,
+    result_from_json,
+    result_to_json,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.engine.emitter import EmitContext
     from repro.engine.worker import GroupResult
     from repro.mapping.flow import FlowConfig
 
-#: Canonical-input token prefix.  BLIF signal names are whitespace-
-#: delimited tokens, so a NUL byte cannot collide with a real signal.
-_TOKEN = "\x00"
-
 #: Counter names contributed to ``EngineStats`` (all start at zero).
-COUNTERS = (
-    "cache_hits",
-    "cache_misses",
-    "cache_stores",
-    "cache_canonicalizations",
-    "cache_fallbacks",
-    "cache_rejects",
-)
-
-
-def _token(position: int) -> str:
-    """Token standing for canonical input ``position`` inside a payload."""
-    return f"{_TOKEN}{position}"
-
-
-def _token_position(name: str) -> int | None:
-    """Inverse of :func:`_token` (None for ordinary signal names)."""
-    if name.startswith(_TOKEN):
-        return int(name[1:])
-    return None
-
-
-def _flip_cubes(
-    cubes: tuple[tuple[int, int], ...], flip_mask: int
-) -> tuple[tuple[int, int], ...]:
-    """Re-phase SOP cubes: complement the input columns in ``flip_mask``.
-
-    Complementing an input exchanges its positive and negative literals,
-    i.e. flips the cube's value bit wherever the care bit is set.  The
-    operation is an involution, so producer-side normalization and
-    consumer-side rewrite with equal polarities cancel exactly.
-    """
-    if not flip_mask:
-        return cubes
-    return tuple(
-        (care, value ^ (care & flip_mask)) for care, value in cubes
-    )
+COUNTERS = ("cache_hits", "cache_misses", "cache_stores", "cache_rejects")
 
 
 class GroupCache:
@@ -101,8 +55,6 @@ class GroupCache:
     @classmethod
     def open(cls, path: str, config: "FlowConfig") -> "GroupCache":
         """Open the cache at ``path`` for runs under ``config``."""
-        from repro.engine.checkpoint import config_digest
-
         return cls(
             open_store(path),
             config_digest(config),
@@ -110,238 +62,53 @@ class GroupCache:
         )
 
     def counters(self) -> dict[str, int]:
-        """Snapshot of the hit/miss/store/canonicalize counters."""
+        """Snapshot of the hit/miss/store/reject counters."""
         return dict(self._counts)
 
-    def _key(self, form: CanonicalForm) -> str:
-        """Database key: config digest + technology target + function key.
+    def _key(self, fingerprint: str) -> str:
+        """Database key: config digest + technology target + fingerprint.
 
         The digest prefix keeps results produced under different
         decomposition settings (k, mode, policy caps...) apart -- the same
-        function maps to different networks under different knobs.  The
+        group maps to different networks under different knobs.  The
         target name is *also* an explicit key component (although it is
         already part of the semantic digest): a result mapped for one
         technology must never serve a request for another, and the
         explicit component keeps that guarantee independent of what the
         digest happens to cover.
         """
-        return f"{self.digest}:{self.target}:{form.key}"
-
-    # ------------------------------------------------------------------
-    # lookup / record
-    # ------------------------------------------------------------------
+        return f"{self.digest}:{self.target}:{fingerprint}"
 
     def lookup(
-        self, ctx: "EmitContext", f_nodes: list[int]
-    ) -> tuple["GroupResult | None", CanonicalForm]:
-        """Canonicalize the group; return a verified cached result, if any.
-
-        Always returns the :class:`CanonicalForm` so a miss can be
-        recorded later without canonicalizing twice.
-        """
-        form = canonical_form(ctx.bdd, f_nodes)
-        self._counts["cache_canonicalizations"] += 1
-        if not form.exact:
-            self._counts["cache_fallbacks"] += 1
-        payload = self.store.get(self._key(form))
+        self, ctx: "EmitContext", f_nodes: list[int], fingerprint: str
+    ) -> "GroupResult | None":
+        """The verified cached result for the group, or None (a miss)."""
+        payload = self.store.get(self._key(fingerprint))
         if payload is not None:
             try:
-                result = self._rewrite(ctx, form, payload)
+                result = result_from_json(payload)
+                verified = self._verify(ctx, f_nodes, result)
             except (KeyError, IndexError, TypeError, ValueError):
-                result = None
-            if result is not None and self._verify(ctx, form, f_nodes, result):
+                verified = False
+            if verified:
                 self._counts["cache_hits"] += 1
                 observe.add("cache_hits")
-                return result, form
+                return result
             self._counts["cache_rejects"] += 1
             observe.add("cache_rejects")
         self._counts["cache_misses"] += 1
         observe.add("cache_misses")
-        return None, form
+        return None
 
-    def record(
-        self,
-        ctx: "EmitContext",
-        form: CanonicalForm,
-        f_nodes: list[int],
-        result: "GroupResult",
-        policy: str | None = None,
-    ) -> None:
-        """Store a freshly computed (verified) group result.
-
-        The canonical payload is round-tripped through :meth:`_rewrite`
-        and required to reproduce ``result`` *structurally* before it is
-        written -- a transform that cannot restore what it normalized
-        must not enter the store.  ``policy`` names the producing
-        decomposition policy (the race winner for raced groups); it is
-        stored as provenance alongside the target name.
-        """
-        if self.store.disabled:
-            return
-        payload = self._canonical_payload(ctx, form, result)
-        if payload is None:
-            return
-        try:
-            check = self._rewrite(ctx, form, payload)
-        except (KeyError, IndexError, TypeError, ValueError):
-            check = None
-        if check != result:
-            return
-        payload["policy"] = policy or getattr(ctx.config, "policy", "")
-        payload["target"] = self.target
-        if self.store.put(self._key(form), payload):
+    def record(self, fingerprint: str, result: "GroupResult") -> None:
+        """Store a freshly computed (verified) group result."""
+        if self.store.put(self._key(fingerprint), result_to_json(result)):
             self._counts["cache_stores"] += 1
             observe.add("cache_stores")
 
-    # ------------------------------------------------------------------
-    # canonical payload <-> GroupResult
-    # ------------------------------------------------------------------
-
-    def _canonical_payload(
-        self, ctx: "EmitContext", form: CanonicalForm, result: "GroupResult"
-    ) -> dict | None:
-        """Serialize ``result`` in canonical coordinates (None: not cacheable).
-
-        Frontier signals become position tokens (re-phased per the form's
-        input polarity); each output records the phase between its named
-        signal and the canonical function it stands for.
-        """
-        n = len(form.perm)
-        signal_pos: dict[str, int] = {}
-        for p in range(n):
-            level = form.levels[form.perm[p]]
-            signal_pos[ctx.signal_of_level[level]] = p
-        rename = {sig: _token(p) for sig, p in signal_pos.items()}
-
-        nodes = []
-        for spec in result.nodes:
-            flip = 0
-            fanins = []
-            for j, fanin in enumerate(spec.fanins):
-                pos = signal_pos.get(fanin)
-                if pos is None:
-                    fanins.append(fanin)
-                else:
-                    fanins.append(_token(pos))
-                    if form.input_phase[pos]:
-                        flip |= 1 << j
-            nodes.append(
-                [
-                    spec.name,
-                    fanins,
-                    spec.num_vars,
-                    [list(c) for c in _flip_cubes(spec.cubes, flip)],
-                    spec.constant,
-                ]
-            )
-
-        outputs = []
-        for j, sig in enumerate(result.outputs):
-            phase = form.output_phase[j]
-            pos = signal_pos.get(sig)
-            if pos is not None:
-                # A projection output: the canonical function is the token
-                # xor the input phase, folded into the stored phase bit.
-                phase ^= form.input_phase[pos]
-                sig = _token(pos)
-            elif sig not in rename and not any(
-                spec.name == sig for spec in result.nodes
-            ):
-                return None  # output driven by an unknown signal
-            outputs.append([sig, phase])
-
-        return {
-            "n": n,
-            "m": len(result.outputs),
-            "nodes": nodes,
-            "outputs": outputs,
-            "records": [
-                [r.outputs, r.num_globals, r.num_functions,
-                 r.num_functions_unshared]
-                for r in result.records
-            ],
-            "kind_counts": dict(result.kind_counts),
-        }
-
-    def _rewrite(
-        self, ctx: "EmitContext", form: CanonicalForm, payload: dict
-    ) -> "GroupResult | None":
-        """De-canonicalize ``payload`` onto the consumer's variables.
-
-        Tokens bind to the consumer's frontier signals, cube columns
-        re-phase by the consumer's input polarity, and outputs whose
-        stored phase differs from the consumer's get an inverter LUT
-        appended (``INV<j>``; renamed like any node at merge time).
-        Returns None when the payload does not fit this group's shape.
-        """
-        from repro.engine.worker import GroupResult, NodeSpec
-        from repro.mapping.flow import GroupRecord
-
-        n = len(form.perm)
-        if payload["n"] != n or payload["m"] != len(form.output_phase):
-            return None
-        signal_of_pos = [
-            ctx.signal_of_level[form.levels[form.perm[p]]] for p in range(n)
-        ]
-
-        nodes: list[NodeSpec] = []
-        names: set[str] = set()
-        for name, fanins, num_vars, cubes, constant in payload["nodes"]:
-            flip = 0
-            bound = []
-            for j, fanin in enumerate(fanins):
-                pos = _token_position(fanin)
-                if pos is None:
-                    bound.append(fanin)
-                else:
-                    bound.append(signal_of_pos[pos])
-                    if form.input_phase[pos]:
-                        flip |= 1 << j
-            cubes = _flip_cubes(
-                tuple((care, value) for care, value in cubes), flip
-            )
-            nodes.append(
-                NodeSpec(name, tuple(bound), num_vars, cubes, constant)
-            )
-            names.add(name)
-
-        outputs: list[str] = []
-        for j, (sig, stored_phase) in enumerate(payload["outputs"]):
-            delta = int(stored_phase) ^ form.output_phase[j]
-            pos = _token_position(sig)
-            if pos is not None:
-                delta ^= form.input_phase[pos]
-                sig = signal_of_pos[pos]
-            elif sig not in names:
-                return None
-            if delta:
-                inv = f"INV{j}"
-                nodes.append(NodeSpec(inv, (sig,), 1, ((1, 0),)))
-                sig = inv
-            outputs.append(sig)
-
-        return GroupResult(
-            nodes=tuple(nodes),
-            outputs=tuple(outputs),
-            records=tuple(
-                GroupRecord(o, p, q, u)
-                for o, p, q, u in payload["records"]
-            ),
-            kind_counts={
-                str(k): int(v) for k, v in payload["kind_counts"].items()
-            },
-        )
-
-    # ------------------------------------------------------------------
-    # verification
-    # ------------------------------------------------------------------
-
+    @staticmethod
     def _verify(
-        self,
-        ctx: "EmitContext",
-        form: CanonicalForm,
-        f_nodes: list[int],
-        result: "GroupResult",
+        ctx: "EmitContext", f_nodes: list[int], result: "GroupResult"
     ) -> bool:
         """Prove ``result`` computes exactly ``f_nodes`` on this manager.
 
@@ -352,7 +119,7 @@ class GroupCache:
         """
         bdd = ctx.bdd
         values: dict[str, int] = {}
-        for i, level in enumerate(form.levels):
+        for level in set().union(*(bdd.support(f) for f in f_nodes)):
             values[ctx.signal_of_level[level]] = bdd.var(level)
         for spec in result.nodes:
             if spec.constant is not None:

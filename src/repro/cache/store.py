@@ -1,7 +1,7 @@
 """The persistent result store: stdlib ``sqlite3``, WAL mode, never fatal.
 
-One database file holds one ``results`` table mapping canonical keys
-(:mod:`repro.bdd.canon` key + semantic config digest, built by
+One database file holds one ``results`` table mapping group keys
+(semantic config digest + target + payload fingerprint, built by
 :class:`repro.cache.group.GroupCache`) to JSON payloads.  Design rules:
 
 - **schema-versioned**: a ``meta`` table records ``schema_version``; a

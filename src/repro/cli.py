@@ -18,7 +18,7 @@ writes the mapped netlist as BLIF.
 ``--target`` picks the technology target (``xc3000-clb``, ``lut-<k>``,
 or ``auto``; see ``docs/TARGETS.md``) and ``--policy`` the decomposition
 heuristic -- including a per-group portfolio race
-(``race:ladder-peel,peel-first,...``) where every candidate policy maps
+(``race:ladder-peel,flat-ladder``) where every candidate policy maps
 each output group and the cheapest result under the target wins
 deterministically.
 
@@ -278,7 +278,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 target=report_section(
                     config.target,
                     config.k,
-                    engine=engine_dict,
                     race_winners=(
                         result.race_winners if result is not None else None
                     ),
@@ -428,7 +427,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 target=report_section(
                     config.target,
                     config.k,
-                    engine=engine_dict,
                     race_winners=race_winners or None,
                 ),
             )
@@ -508,7 +506,7 @@ def _add_flow_options(cmd: argparse.ArgumentParser) -> None:
                           "k >= 3, or auto (xc3000-clb at k = 5, lut-<k> "
                           "otherwise; see docs/TARGETS.md)")
     cmd.add_argument("--policy", default="ladder-peel", metavar="SPEC",
-                     help="decomposition policy (ladder-peel, peel-first, "
+                     help="decomposition policy (ladder-peel, "
                           "flat-ladder), or a per-group portfolio race "
                           "'race:p1,p2,...' -- every candidate maps each "
                           "group and the cheapest result under --target "
@@ -547,9 +545,9 @@ def _add_flow_options(cmd: argparse.ArgumentParser) -> None:
                           "(see docs/RELIABILITY.md)")
     cmd.add_argument("--cache-db", metavar="FILE",
                      help="persistent result cache: an sqlite database of "
-                          "canonically-fingerprinted group results, consulted "
-                          "before decomposing and fed after (works with both "
-                          "executors; see docs/CACHING.md)")
+                          "group results keyed by payload fingerprint, "
+                          "consulted before decomposing and fed after (works "
+                          "with every executor; see docs/CACHING.md)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,7 +45,6 @@ from repro.engine.policies import (
     DecomposePolicy,
     FlatLadderPolicy,
     LadderPeelPolicy,
-    PeelFirstPolicy,
     PolicyDecision,
     make_policy,
     parse_policy_spec,
@@ -82,7 +81,6 @@ __all__ = [
     "FlatLadderPolicy",
     "LadderPeelPolicy",
     "POLICIES",
-    "PeelFirstPolicy",
     "PolicyDecision",
     "ProcessExecutor",
     "ResumeState",

@@ -119,7 +119,12 @@ def result_to_json(result: "GroupResult") -> dict:
 
 
 def result_from_json(payload: dict) -> "GroupResult":
-    """Rebuild a :class:`GroupResult` from :func:`result_to_json` output."""
+    """Rebuild a :class:`GroupResult` from :func:`result_to_json` output.
+
+    The counts are read as ints: the file is input from outside the
+    program, and they feed the run's statistics unchecked.  A malformed
+    payload raises ``KeyError``, ``TypeError`` or ``ValueError``.
+    """
     from repro.engine.worker import GroupResult, NodeSpec
     from repro.mapping.flow import GroupRecord
 
@@ -136,11 +141,13 @@ def result_from_json(payload: dict) -> "GroupResult":
         ),
         outputs=tuple(payload["outputs"]),
         records=tuple(
-            GroupRecord(outputs, num_globals, num_functions, unshared)
-            for outputs, num_globals, num_functions, unshared
-            in payload["records"]
+            GroupRecord(*(int(count) for count in record))
+            for record in payload["records"]
         ),
-        kind_counts=dict(payload["kind_counts"]),
+        kind_counts={
+            str(kind): int(count)
+            for kind, count in dict(payload["kind_counts"]).items()
+        },
     )
 
 

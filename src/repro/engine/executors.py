@@ -221,25 +221,21 @@ class Submission:
         f_nodes: the group's BDD roots in the parent manager (kept so the
             degraded serial fallback can re-run the group in-parent).
         payload: the exported subproblem (resubmitted on retry).
-        fingerprint: checkpoint identity of the payload (None when
-            neither checkpointing nor resume is configured).
-        future: the pending pool future (None for resumed groups).
-        cached: result replayed from a resume checkpoint, if any.
+        fingerprint: identity of the payload, the key of both resume
+            checkpoints and the result cache (None when neither is
+            configured and the run writes no checkpoint).
+        future: the pending pool future (None for replayed groups).
+        cached: result replayed from a resume checkpoint or the result
+            cache, if any.
         attempt: current retry attempt (0 = first submission).
         failures: structured records of every failed attempt so far.
         degraded_signals: output signals produced by the in-parent serial
             fallback (None unless the group degraded).
-        cache_form: canonical form computed by the result-cache lookup
-            (kept so a miss can be recorded after the merge without
-            canonicalizing twice; None when no cache is configured or
-            the group replayed from a checkpoint instead).
         cache_hit: True when ``cached`` came from the result cache
             rather than a resume checkpoint.
         entries: candidate submissions of a policy-portfolio race (None
             when the group is not raced; exactly one wins at collect
             time).
-        winner_policy: the racing policy whose result was merged (cache
-            provenance; None for unraced or replayed groups).
     """
 
     ordinal: int
@@ -251,10 +247,8 @@ class Submission:
     attempt: int = 0
     failures: list[dict] = field(default_factory=list)
     degraded_signals: list[str] | None = None
-    cache_form: object | None = None
     cache_hit: bool = False
     entries: list[RaceEntry] | None = None
-    winner_policy: str | None = None
 
 
 class ProcessExecutor:
@@ -377,8 +371,8 @@ class ProcessExecutor:
         (``first_ordinal`` offsets the batch-wide submission ordinals).
         Groups found in ``resume`` or in the persistent result cache are
         not submitted at all -- their stored result replays at collect
-        time (resume wins over the cache: it is keyed by position and
-        exact payload, so its replay semantics are stricter).
+        time.  Both are keyed by the payload fingerprint; resume wins over
+        the cache, because its entries also match the group's position.
         """
         ctx = engine.context
         subs: list[Submission] = []
@@ -387,19 +381,20 @@ class ProcessExecutor:
             payload = self._payload(ctx, f_nodes)
             fingerprint = (
                 payload_fingerprint(payload)
-                if fingerprints or resume is not None
+                if fingerprints
+                or resume is not None
+                or engine.group_cache is not None
                 else None
             )
             sub = Submission(ordinal, list(f_nodes), payload, fingerprint)
-            if resume is not None and fingerprint is not None:
+            if resume is not None:
                 sub.cached = resume.lookup(ordinal, fingerprint)
             if sub.cached is None and engine.group_cache is not None:
                 with observe.span("cache-lookup"):
-                    hit, form = engine.group_cache.lookup(ctx, f_nodes)
-                sub.cache_form = form
-                if hit is not None:
-                    sub.cached = hit
-                    sub.cache_hit = True
+                    sub.cached = engine.group_cache.lookup(
+                        ctx, f_nodes, fingerprint
+                    )
+                sub.cache_hit = sub.cached is not None
             if sub.cached is None:
                 if engine.racing:
                     self._submit_race(engine, sub)
@@ -494,17 +489,9 @@ class ProcessExecutor:
                     if ckpt is not None and sub.fingerprint is not None:
                         ckpt.record(sub.ordinal, sub.fingerprint, result)
                         self._counts["checkpoint_saved"] += 1
-                    if (
-                        engine.group_cache is not None
-                        and sub.cache_form is not None
-                        and not sub.cache_hit
-                    ):
+                    if engine.group_cache is not None and sub.cached is None:
                         with observe.span("cache-record"):
-                            engine.group_cache.record(
-                                engine.context, sub.cache_form,
-                                sub.f_nodes, result,
-                                policy=sub.winner_policy,
-                            )
+                            engine.group_cache.record(sub.fingerprint, result)
                 else:
                     # Degraded serial fallback already emitted in-parent.
                     signals = sub.degraded_signals
@@ -571,7 +558,6 @@ class ProcessExecutor:
             if entry.future is not None and entry.future.cancel():
                 engine.race_counts["race_losers_cancelled"] += 1
         _, _, winner, result = min(outcomes, key=lambda o: (o[0], o[1]))
-        sub.winner_policy = winner
         engine.note_race_winner(winner)
         return result
 

@@ -180,31 +180,49 @@ class LadderPeelPolicy:
             )
         return best
 
-    # -- the full plan --------------------------------------------------
+    # -- the two steps of a plan ----------------------------------------
 
-    def decompose(self, bdd: BDD, vector: list[int]) -> PolicyDecision:
-        """Plan one step for ``vector``: decompose, peel loners, or split."""
+    def _ladder(
+        self, bdd: BDD, vec: list[int]
+    ) -> tuple[MultiOutputDecomposition, list[int], list[int], int]:
+        """Bound-size ladder: start at the configured size (default k) and
+        widen while no output makes progress -- the paper uses bound sets
+        up to b = 8 with k = 5 (Table 1, alu4), decomposing the
+        d-functions recursively.  ``ladder_cap`` bounds the widening.
+
+        Returns the last attempt's ``(result, bs, progressing)`` and the
+        bound size it used.
+        """
         config = self.config
-        # Bound-size ladder: start at the configured size (default k) and
-        # widen while no output makes progress -- the paper uses bound sets
-        # up to b = 8 with k = 5 (Table 1, alu4), decomposing the
-        # d-functions recursively.  ``ladder_cap`` bounds the widening.
         base_bound = min(config.bound_size or config.k, config.k)
         max_bound = max(base_bound, config.bound_size or 0, config.k + 3)
         ceiling = min(max_bound, config.ladder_cap)
         bound = base_bound
-        result, bs, progressing = self._attempt(bdd, vector, bound)
+        result, bs, progressing = self._attempt(bdd, vec, bound)
         while not progressing and bound < ceiling:
             bound += 2
-            result, bs, progressing = self._attempt(bdd, vector, bound)
+            result, bs, progressing = self._attempt(bdd, vec, bound)
         if not progressing and ceiling < max_bound:
             observe.add("ladder_cap_truncations")
+        return result, bs, progressing, bound
 
-        # Lone-output peel: up to ``peel_rounds`` rounds.
+    def _peel(
+        self,
+        bdd: BDD,
+        vector: list[int],
+        result: MultiOutputDecomposition,
+        bs: list[int],
+        progressing: list[int],
+        bound: int,
+    ) -> PolicyDecision:
+        """Lone-output peel: up to ``peel_rounds`` rounds, each peeling the
+        outputs of ``result`` whose functions are all unshared and
+        re-decomposing the rest at ``bound``.
+        """
         kept = list(range(len(vector)))
         peeled: list[int] = []
         current = list(vector)
-        for _ in range(config.peel_rounds):
+        for _ in range(self.config.peel_rounds):
             if len(current) <= 1:
                 break
             lone = result.lone_outputs()
@@ -234,62 +252,9 @@ class LadderPeelPolicy:
             bound=bound,
         )
 
-
-class PeelFirstPolicy(LadderPeelPolicy):
-    """Variant: peel lone outputs *before* climbing the bound ladder.
-
-    The default policy widens the bound set until some output progresses
-    and only then peels; this one peels unshared outputs at the base
-    bound first -- a narrower joint vector often progresses without any
-    widening, trading ladder attempts (each a full subset-DP) for peel
-    re-decompositions.  Same knobs, same truncation counters.
-    """
-
     def decompose(self, bdd: BDD, vector: list[int]) -> PolicyDecision:
-        """Plan one step: peel loners first, then ladder the remainder."""
-        config = self.config
-        base_bound = min(config.bound_size or config.k, config.k)
-        max_bound = max(base_bound, config.bound_size or 0, config.k + 3)
-        ceiling = min(max_bound, config.ladder_cap)
-        bound = base_bound
-        result, bs, progressing = self._attempt(bdd, vector, bound)
-
-        kept = list(range(len(vector)))
-        peeled: list[int] = []
-        current = list(vector)
-        for _ in range(config.peel_rounds):
-            if len(current) <= 1:
-                break
-            lone = result.lone_outputs()
-            if not lone:
-                break
-            peeled.extend(kept[j] for j in lone)
-            keep = [j for j in range(len(current)) if j not in set(lone)]
-            kept = [kept[j] for j in keep]
-            current = [current[j] for j in keep]
-            if not current:
-                return PolicyDecision(
-                    result=None, kept=[], peeled=peeled, bound=bound
-                )
-            result, bs, progressing = self._attempt(bdd, current, bound)
-        else:
-            if len(current) > 1 and result.lone_outputs():
-                observe.add("peel_limit_truncations")
-
-        while not progressing and bound < ceiling:
-            bound += 2
-            result, bs, progressing = self._attempt(bdd, current, bound)
-        if not progressing and ceiling < max_bound:
-            observe.add("ladder_cap_truncations")
-
-        return PolicyDecision(
-            result=result,
-            bs=bs,
-            progressing=progressing,
-            kept=kept,
-            peeled=peeled,
-            bound=bound,
-        )
+        """Plan one step for ``vector``: climb the ladder, then peel loners."""
+        return self._peel(bdd, vector, *self._ladder(bdd, vector))
 
 
 class FlatLadderPolicy(LadderPeelPolicy):
@@ -299,28 +264,17 @@ class FlatLadderPolicy(LadderPeelPolicy):
     like -- cheapest per step (no re-decompositions), and occasionally
     better when a "lone" output would re-join the pool one recursion
     level deeper.  The racing harness pits it against the peeling
-    policies per group.
+    policy per group.
     """
 
     def decompose(self, bdd: BDD, vector: list[int]) -> PolicyDecision:
         """Plan one step: ladder until progress, never peel."""
-        config = self.config
-        base_bound = min(config.bound_size or config.k, config.k)
-        max_bound = max(base_bound, config.bound_size or 0, config.k + 3)
-        ceiling = min(max_bound, config.ladder_cap)
-        bound = base_bound
-        result, bs, progressing = self._attempt(bdd, vector, bound)
-        while not progressing and bound < ceiling:
-            bound += 2
-            result, bs, progressing = self._attempt(bdd, vector, bound)
-        if not progressing and ceiling < max_bound:
-            observe.add("ladder_cap_truncations")
+        result, bs, progressing, bound = self._ladder(bdd, vector)
         return PolicyDecision(
             result=result,
             bs=bs,
             progressing=progressing,
             kept=list(range(len(vector))),
-            peeled=[],
             bound=bound,
         )
 
@@ -348,6 +302,5 @@ def make_policy(config: "FlowConfig", name: str | None = None) -> DecomposePolic
 #: order is the deterministic tie-break order of policy racing.
 POLICIES = {
     "ladder-peel": LadderPeelPolicy,
-    "peel-first": PeelFirstPolicy,
     "flat-ladder": FlatLadderPolicy,
 }

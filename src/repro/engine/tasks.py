@@ -68,9 +68,6 @@ class EngineStats:
         cache_misses: groups looked up in the result cache and computed
             fresh (includes rejected hits).
         cache_stores: freshly computed group results written to the cache.
-        cache_canonicalizations: canonical fingerprints computed.
-        cache_fallbacks: fingerprints that fell back to the raw
-            support-normalized key (tie space or node budget exceeded).
         cache_rejects: cached payloads discarded because verification
             against the requested functions failed (collision/corruption).
         race_groups: output groups decided by a policy-portfolio race
@@ -111,8 +108,6 @@ class EngineStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_stores: int = 0
-    cache_canonicalizations: int = 0
-    cache_fallbacks: int = 0
     cache_rejects: int = 0
     race_groups: int = 0
     race_candidates: int = 0

@@ -80,7 +80,7 @@ class FlowConfig:
     resume_from: str | None = None  # replay a checkpoint file
 
     # -- persistent result cache (see docs/CACHING.md) ------------------
-    cache_db: str | None = None  # sqlite store of canonical group results
+    cache_db: str | None = None  # sqlite store of group results
 
     # -- distributed execution (see docs/DISTRIBUTED.md) ----------------
     broker: str | None = None  # HOST:PORT of the remote-executor broker

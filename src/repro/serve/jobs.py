@@ -404,7 +404,6 @@ def run_job(job: Job, registry: JobRegistry, runner: RunnerConfig) -> None:
             report_section(
                 config.target,
                 config.k,
-                engine=engine_dict,
                 race_winners=(
                     result.race_winners if result is not None else None
                 ),

@@ -96,23 +96,17 @@ def resolve_target(name: str | None, k: int | None) -> tuple[str, int]:
 def report_section(
     target_name: str,
     k: int,
-    engine: dict | None = None,
     race_winners: dict[str, int] | None = None,
     cost: TargetCost | None = None,
 ) -> dict:
     """The ``target`` section of a ``repro-run-report/5`` document.
 
     Flat scalars describing the run's technology target -- name, cell
-    width, the per-target result-cache traffic (pulled from the engine
-    counters, so racing can later learn per-shape winners), the priced
-    network when one was computed -- plus the ``race_winners`` object
-    mapping each racing policy to the number of groups it won.
+    width, the priced network when one was computed -- plus the
+    ``race_winners`` object mapping each racing policy to the number of
+    groups it won.
     """
     section: dict = {"name": target_name, "k": k}
-    if engine is not None:
-        for key in ("cache_hits", "cache_misses"):
-            if key in engine:
-                section[key] = engine[key]
     if cost is not None:
         section["luts"] = cost.luts
         section["units"] = cost.units

@@ -23,8 +23,7 @@ Rules:
 
 The default target set (``DEFAULT_TARGETS``) is the surface the docs
 anchor into: the engine, cache, serve and targets packages, the shared
-HTTP core ``src/repro/httpjson.py``, and the BDD transfer and
-canonical-form modules.
+HTTP core ``src/repro/httpjson.py``, and the BDD transfer module.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ DEFAULT_TARGETS = (
     "src/repro/serve",
     "src/repro/targets",
     "src/repro/bdd/transfer.py",
-    "src/repro/bdd/canon.py",
     "src/repro/httpjson.py",
 )
 

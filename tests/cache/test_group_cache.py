@@ -2,9 +2,9 @@
 
 The contract under test (see ``docs/CACHING.md``): a warm run over the
 same circuit hits on every group and emits **byte-identical** BLIF, under
-either executor; an NPN-equivalent circuit hits
-through the de-canonicalizing rewrite and still verifies; and a poisoned
-store entry is rejected by verification, never trusted.
+either executor; a database shared across circuits never changes what a
+circuit maps to; and a poisoned store entry is rejected by verification,
+never trusted.
 """
 
 import json
@@ -18,6 +18,7 @@ from repro.boolfunc.sop import Sop
 from repro.boolfunc.truthtable import TruthTable
 from repro.io.blif import write_blif
 from repro.mapping.flow import FlowConfig, synthesize, verify_flow
+from repro.mapping.xc3000 import pack_xc3000
 from repro.network.network import Network
 
 
@@ -80,24 +81,66 @@ class TestWarmRunsAreByteIdentical:
         assert warm.engine_stats.cache_hits == cold.engine_stats.cache_stores
 
 
-class TestNpnEquivalentCircuits:
-    def test_transformed_circuit_hits_and_verifies(self, tmp_path):
-        # g(a, b, c) = NOT maj(NOT a, b, c) is NPN-equivalent to maj; the
-        # cached maj entry must be rewritten onto g's polarities (an
-        # inverter LUT where the phases disagree) and verify exactly.
+class TestSharedDatabase:
+    def test_circuits_sharing_a_database_keep_their_own_bytes(self, tmp_path):
+        # One database filled by 5xp1 and then clip, as a --cache-db
+        # shared by a batch or a server fills: an entry another circuit
+        # stored must never change what clip maps to.
         db = str(tmp_path / "cache.db")
-        maj = TruthTable.from_function(3, lambda a, b, c: a + b + c >= 2)
-        trans = TruthTable.from_function(
-            3, lambda a, b, c: not ((1 - a) + b + c >= 2)
-        )
-        cold = synthesize(network_from_tables([maj]), config(db))
-        assert cold.engine_stats.cache_stores == 1
+        names = ["5xp1", "clip"]
+        plain = {
+            name: write_blif(
+                synthesize(get_circuit(name).build(), FlowConfig(k=5)).network
+            )
+            for name in names
+        }
+        cold = {
+            name: synthesize(
+                get_circuit(name).build(), FlowConfig(k=5, cache_db=db)
+            )
+            for name in names
+        }
+        for name in names:
+            assert write_blif(cold[name].network) == plain[name]
+        assert pack_xc3000(cold["clip"].network).num_clbs == 4
 
-        net_g = network_from_tables([trans])
-        warm = synthesize(net_g, config(db))
-        assert warm.engine_stats.cache_hits == 1
-        assert warm.engine_stats.cache_misses == 0
-        assert verify_flow(net_g, warm)
+        for name in names:
+            warm = synthesize(
+                get_circuit(name).build(), FlowConfig(k=5, cache_db=db)
+            )
+            filled = cold[name].engine_stats
+            assert warm.engine_stats.cache_misses == 0
+            assert warm.engine_stats.cache_hits == (
+                filled.cache_hits + filled.cache_misses
+            )
+            assert write_blif(warm.network) == plain[name]
+
+
+class TestEarlierKeySchemes:
+    def test_canonical_function_keys_only_miss(self, tmp_path, capsys):
+        # A database filled under the NPN-canonical key scheme held keys
+        # ending in an ``npn:``/``raw:`` function key: same schema, no
+        # warning, and no such key can answer a payload-fingerprint lookup.
+        db = str(tmp_path / "cache.db")
+        net = ones_count_network(5, 3)
+        plain = write_blif(synthesize(net, FlowConfig(k=4)).network)
+        cold = synthesize(net, config(db))
+        conn = sqlite3.connect(db)
+        for (key,) in conn.execute("SELECT key FROM results").fetchall():
+            prefix, fingerprint = key.rsplit(":", 1)
+            conn.execute(
+                "UPDATE results SET key = ? WHERE key = ?",
+                (f"{prefix}:npn:{fingerprint * 2}", key),
+            )
+        conn.commit()
+        conn.close()
+
+        warm = synthesize(net, config(db))
+        assert warm.engine_stats.cache_hits == 0
+        assert warm.engine_stats.cache_rejects == 0
+        assert warm.engine_stats.cache_misses == cold.engine_stats.cache_stores
+        assert write_blif(warm.network) == plain
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestPoisonedEntries:
@@ -138,10 +181,34 @@ class TestPoisonedEntries:
         assert healed.engine_stats.cache_misses == 0
         assert write_blif(healed.network) == plain
 
+    def test_malformed_counts_are_rejected_not_merged(self, tmp_path):
+        # Verification proves the sub-network, not the task counts that
+        # ride along with it: a count that is no integer must turn the
+        # entry into a reject, not crash the run's statistics.
+        db = str(tmp_path / "cache.db")
+        net = ones_count_network(5, 3)
+        plain = write_blif(synthesize(net, FlowConfig(k=4)).network)
+        cold = synthesize(net, config(db))
+        conn = sqlite3.connect(db)
+        for key, blob in conn.execute("SELECT key, payload FROM results"):
+            payload = json.loads(blob)
+            payload["kind_counts"] = {k: "x" for k in payload["kind_counts"]}
+            conn.execute(
+                "UPDATE results SET payload = ? WHERE key = ?",
+                (json.dumps(payload), key),
+            )
+        conn.commit()
+        conn.close()
+
+        warm = synthesize(net, config(db))
+        assert warm.engine_stats.cache_hits == 0
+        assert warm.engine_stats.cache_rejects == cold.engine_stats.cache_stores
+        assert write_blif(warm.network) == plain
+
 
 class TestTargetIsolation:
     def test_stores_never_cross_technology_targets(self, tmp_path):
-        # Same circuit, same k = 5 canonical forms: a store warmed for
+        # Same circuit, same k = 5 groups: a store warmed for
         # lut-5 must never serve the reference xc3000-clb target (the
         # cached sub-network was priced and raced for another cell).
         db = str(tmp_path / "cache.db")
@@ -173,39 +240,3 @@ class TestTargetIsolation:
         assert all(":lut-5:" in k or ":xc3000-clb:" in k for k in keys)
         assert any(":lut-5:" in k for k in keys)
         assert any(":xc3000-clb:" in k for k in keys)
-
-
-class TestWinnerProvenance:
-    def payloads(self, db):
-        conn = sqlite3.connect(db)
-        rows = [
-            json.loads(blob)
-            for (blob,) in conn.execute("SELECT payload FROM results")
-        ]
-        conn.close()
-        return rows
-
-    def test_every_record_names_its_policy_and_target(self, tmp_path):
-        db = str(tmp_path / "cache.db")
-        synthesize(ones_count_network(5, 3), config(db))
-        rows = self.payloads(db)
-        assert rows
-        for payload in rows:
-            assert payload["policy"] == "ladder-peel"
-            assert payload["target"] == "lut-4"  # k=4 resolves to lut-4
-
-    def test_raced_records_name_the_winning_candidate(self, tmp_path):
-        from repro.engine.policies import POLICIES
-
-        db = str(tmp_path / "cache.db")
-        race = "race:" + ",".join(sorted(POLICIES))
-        result = synthesize(
-            ones_count_network(5, 3), FlowConfig(policy=race, cache_db=db)
-        )
-        assert result.race_winners
-        rows = self.payloads(db)
-        assert rows
-        for payload in rows:
-            assert payload["policy"] in POLICIES  # the winner, not "race:..."
-            assert payload["target"] == "xc3000-clb"
-

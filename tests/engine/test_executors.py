@@ -81,7 +81,7 @@ class TestSerialExecutor:
         knobs = {
             "plain": {},
             "cache": {"cache_db": str(tmp_path / "cache.db")},
-            "race": {"policy": "race:ladder-peel,peel-first"},
+            "race": {"policy": "race:ladder-peel,flat-ladder"},
             "checkpoint": {"checkpoint_path": str(tmp_path / "run.ckpt")},
         }[run]
         net = multi_group_network()

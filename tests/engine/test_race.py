@@ -31,10 +31,8 @@ class TestParsePolicySpec:
         assert parse_policy_spec("ladder-peel") == ["ladder-peel"]
 
     def test_race_spec_splits_in_spec_order(self):
-        spec = "race:peel-first, ladder-peel,flat-ladder"
-        assert parse_policy_spec(spec) == [
-            "peel-first", "ladder-peel", "flat-ladder",
-        ]
+        spec = "race:ladder-peel, flat-ladder"
+        assert parse_policy_spec(spec) == ["ladder-peel", "flat-ladder"]
 
     @pytest.mark.parametrize("spec", ["race:", "race:a,", "race:,b", "race: ,"])
     def test_empty_entries_rejected(self, spec):

@@ -254,7 +254,7 @@ class TestTargetSection:
         report = build_report(
             make_tracer(),
             target=report_section(
-                "lut-4", 4, race_winners={"peel-first": 1}
+                "lut-4", 4, race_winners={"flat-ladder": 1}
             ),
         )
         validate_report(report)

@@ -139,7 +139,7 @@ class TestProtocol:
                 "circuit": RD53_PLA,
                 "name": "rd53",
                 "target": "lut-4",
-                "policy": "race:ladder-peel,peel-first",
+                "policy": "race:ladder-peel,flat-ladder",
                 "priority": "bulk",
             },
         )

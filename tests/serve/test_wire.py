@@ -36,7 +36,7 @@ class TestParseSubmission:
                 "budget_seconds": 1.5,
                 "budget_nodes": 1000,
                 "target": "lut-4",
-                "policy": "race:ladder-peel,peel-first",
+                "policy": "race:ladder-peel,flat-ladder",
                 "priority": "bulk",
             }
         )
@@ -45,7 +45,7 @@ class TestParseSubmission:
         assert req.rugged and req.strict
         assert req.budget_seconds == 1.5 and req.budget_nodes == 1000
         assert req.target == "lut-4"
-        assert req.policy == "race:ladder-peel,peel-first"
+        assert req.policy == "race:ladder-peel,flat-ladder"
         assert req.priority == "bulk"
 
     def test_target_and_policy_validate_like_the_cli(self):

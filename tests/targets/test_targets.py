@@ -194,15 +194,12 @@ class TestReportSection:
         section = report_section(
             "lut-4",
             4,
-            engine={"cache_hits": 3, "cache_misses": 1, "tasks_total": 9},
             race_winners={"ladder-peel": 2},
             cost=TargetCost(luts=7, units=4, unit_name="XC4000 CLB"),
         )
         assert section == {
             "name": "lut-4",
             "k": 4,
-            "cache_hits": 3,
-            "cache_misses": 1,
             "luts": 7,
             "units": 4,
             "unit_name": "XC4000 CLB",

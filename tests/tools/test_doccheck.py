@@ -137,6 +137,5 @@ class TestMain:
         assert DEFAULT_TARGETS == (
             "src/repro/engine", "src/repro/cache", "src/repro/serve",
             "src/repro/targets",
-            "src/repro/bdd/transfer.py", "src/repro/bdd/canon.py",
-            "src/repro/httpjson.py",
+            "src/repro/bdd/transfer.py", "src/repro/httpjson.py",
         )
