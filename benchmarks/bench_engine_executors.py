@@ -1,17 +1,19 @@
-"""Executor equivalence and wall-clock: serial vs process task drains.
+"""Executor equivalence and wall-clock: serial vs process group drains.
 
-The task-graph engine (``docs/ARCHITECTURE.md``) maps independent output
-groups either with the in-process serial drain or by fanning them out to a
+The engine (``docs/ARCHITECTURE.md``) maps independent output groups
+either in the parent (``--executor serial``) or by fanning them out to a
 pool of worker processes (``--executor process``).  This module pins the
 contract on real circuits and records the wall-clock of both executors:
 
 - **identical output**: the process executor must produce a byte-identical
   BLIF (same LUTs, same names) and pass full BDD verification;
 - **wall-clock**: the map phase is timed best-of-``REPS`` for each
-  executor.  On a multi-core host the process executor overlaps groups;
-  even on one core it wins on cache-heavy circuits (duke2) because each
-  worker decomposes on a small private BDD manager instead of the parent's
-  collapse-polluted one.
+  executor.  The process executor overlaps groups on several cores but
+  pays for exporting, shipping and merging each one.  On the 2-vCPU host
+  of ``BENCH_engine_executors.json`` that pays off only where a few
+  groups of similar size overlap (misex2 1.35x, term1 1.06x, rot 1.02x);
+  it loses on duke2 (0.93x), on e64's 17 small groups (0.57x) and on the
+  four-circuit batch (0.86x).
 
 Only the map phase is timed for the collapsed flow: for one network,
 collapse and output partitioning run in the parent before any group is

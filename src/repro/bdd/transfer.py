@@ -1,8 +1,8 @@
 """Portable BDD transfer: export function DAGs, re-import them elsewhere.
 
-The task-graph engine's process executor (:mod:`repro.engine.executors`)
-ships decomposition subproblems to worker processes.  BDD edges are manager
--local integers, so functions cross the process boundary as a
+The engine's process executor (:mod:`repro.engine.executors`) ships
+output groups to worker processes.  BDD edges are manager-local
+integers, so functions cross the process boundary as a
 :class:`PortableDag`: the reachable node set of the exported roots in
 child-before-parent order, plus the variable names of every level the DAG
 mentions.  The encoding mirrors the manager's own edge representation

@@ -1,14 +1,17 @@
-"""The task-graph synthesis engine.
+"""The synthesis engine: the paper's mapping recursion and its executors.
 
-The decomposition flow of the paper (Section 7) is a DAG of subproblems:
-output groups decompose independently, every decomposition spawns
-d-function and g-function subproblems, and non-decomposable functions
-Shannon-split into cofactor subproblems.  This package makes that DAG
-explicit:
+The decomposition flow of the paper (Section 7) is a recursion: output
+groups decompose independently, every decomposition spawns d-function and
+g-function subproblems, and non-decomposable functions Shannon-split into
+cofactor subproblems.  This package runs it:
 
-- :mod:`repro.engine.tasks` -- first-class tasks (``decompose-vector``,
-  ``emit-lut``, ``shannon-split``, ``compose``) with declared dependencies,
-  collected in a :class:`TaskGraph` with queue-depth accounting.
+- :mod:`repro.engine.emitter` -- :meth:`VectorEmitter.map_vector`, the
+  recursion itself, emitting LUTs into a mutable emission context (the LUT
+  network under construction); it checks the run's cancel flag and budgets
+  at every vector step.
+- :mod:`repro.engine.tasks` -- the four step kinds (``decompose-vector``,
+  ``emit-lut``, ``shannon-split``, ``compose``), their per-run counters
+  and the report-ready :class:`EngineStats`.
 - :mod:`repro.engine.policies` -- the decomposition heuristics (scorer
   race, bound-size ladder, lone-output peel) behind the typed
   :class:`DecomposePolicy` interface, swappable via ``FlowConfig`` --
@@ -16,19 +19,15 @@ explicit:
   where every candidate maps each output group and the cheapest result
   under the technology target (:mod:`repro.targets`) wins
   deterministically.
-- :mod:`repro.engine.emitter` -- expands a vector task into its child
-  tasks against a mutable emission context (the LUT network under
-  construction).
-- :mod:`repro.engine.executors` -- one submit/collect drain behind
-  pluggable executors: ``serial`` maps every group in the parent,
-  replaying the historical recursion order bit-identically; ``process``
-  fans independent vector tasks out to worker processes, each on its own
-  BDD manager, and re-imports the mapped sub-networks.
+- :mod:`repro.engine.executors` -- one submit/collect drain behind three
+  executors: ``serial`` maps every group in the parent, ``process`` fans
+  the groups out to worker processes, each on its own BDD manager, and
+  re-imports the mapped sub-networks in group order.
 - :mod:`repro.engine.remote` -- the ``remote`` executor: groups fanned
   out across *hosts* through a stdlib HTTP broker (``repro broker`` /
   ``repro worker``), with lease-based dead-host detection feeding the
   same retry/degrade ladder (see ``docs/DISTRIBUTED.md``).
-- :mod:`repro.engine.batch` -- many networks through one shared queue.
+- :mod:`repro.engine.batch` -- many networks through one shared pool.
 - :mod:`repro.engine.faults` -- deterministic seeded fault injection for
   exercising the executor's recovery paths (``--inject-faults``).
 - :mod:`repro.engine.checkpoint` -- checkpoint/resume of completed groups
@@ -39,7 +38,7 @@ See ``docs/ARCHITECTURE.md`` for the layering and the dataflow diagram,
 semantics.
 """
 
-from repro.engine.tasks import EngineStats, Task, TaskGraph, TaskKind
+from repro.engine.tasks import EngineStats, TaskCounts
 from repro.engine.policies import (
     POLICIES,
     DecomposePolicy,
@@ -61,7 +60,6 @@ from repro.engine.faults import FaultPlan, FaultSpec, parse_fault_plan
 from repro.engine.executors import (
     EXECUTORS,
     Engine,
-    Executor,
     ProcessExecutor,
     SerialExecutor,
     make_executor,
@@ -75,7 +73,6 @@ __all__ = [
     "EmitContext",
     "Engine",
     "EngineStats",
-    "Executor",
     "FaultPlan",
     "FaultSpec",
     "FlatLadderPolicy",
@@ -85,9 +82,7 @@ __all__ = [
     "ProcessExecutor",
     "ResumeState",
     "SerialExecutor",
-    "Task",
-    "TaskGraph",
-    "TaskKind",
+    "TaskCounts",
     "VectorEmitter",
     "load_checkpoint",
     "make_executor",

@@ -101,15 +101,10 @@ def synthesize_batch(
             if isinstance(prep, ReproError):
                 results[slot] = prep
                 continue
-            executor = prep.engine.executor
-            if not isinstance(executor, ProcessExecutor):
-                raise TypeError(
-                    f"batch dispatch needs a ProcessExecutor, got {executor!r}"
-                )
             with observe.span("engine-dispatch"):
                 observe.add("batch_networks")
                 observe.add("groups", len(prep.groups))
-                subs = executor.submit_groups(
+                subs = prep.engine.executor.submit_groups(
                     prep.engine,
                     prep.group_nodes,
                     first_ordinal=first_ordinal,

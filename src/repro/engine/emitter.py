@@ -1,38 +1,70 @@
-"""Task expansion: from decomposition decisions to engine tasks.
+"""The mapping recursion: from a function vector to LUT signals.
 
 :class:`EmitContext` is the mutable emission state of one synthesis run
 (the LUT network under construction, the level-to-signal binding, constant
-sharing, group records) -- the engine-layer successor of the historical
-``mapping.flow._FlowState``.
+sharing, group records).
 
-:class:`VectorEmitter` turns one pending function vector into a task tree:
-the ``decompose-vector`` task consults the :class:`DecomposePolicy` and
-expands into ``emit-lut`` leaves, peeled singleton vectors, d-function and
-g-vector subtasks, ``shannon-split`` fallbacks and a trailing ``compose``
-join.  Child order is the exact depth-first order of the historical
-recursion, so the serial executor reproduces the pre-engine flow
-bit-identically (LUT names included); see ``docs/ARCHITECTURE.md`` for the
-argument.
+:meth:`VectorEmitter.map_vector` maps one vector by the paper's recursion
+(Section 7): ask the :class:`DecomposePolicy` for a decomposition, then
+emit the k-feasible outputs, map the peeled outputs, record the group,
+emit or map each used decomposition function and bind its code levels,
+map the g-vector, and Shannon-split the outputs that do not shrink.  That
+order fixes the LUT names, so every executor emits the same bytes.  Each
+step is counted under its kind (:mod:`repro.engine.tasks`) and timed under
+a span of that name; the ``decompose-vector`` span covers the policy call
+only, so the spans of a vector's children never nest inside it.
 
-Signal delivery uses *sink cells*: every task writes the signals it
-produces into ``sink[positions[i]]`` of a caller-owned list, which is how
-results flow up the graph without return values.
+Cancellation (:func:`request_cancel`) and the tracer's budgets are checked
+at every vector step, so a run stops inside a group as well as between
+groups.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import threading
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator
 
 from repro import observe
 from repro.bdd.manager import BDD, FALSE, TRUE
 from repro.boolfunc.sop import Sop
 from repro.boolfunc.truthtable import TruthTable
-from repro.engine.policies import DecomposePolicy
-from repro.engine.tasks import Task, TaskGraph
+from repro.engine.policies import DecomposePolicy, PolicyDecision
+from repro.engine.tasks import TaskCounts
+from repro.errors import RunInterrupted
 from repro.targets import make_target
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (flow imports engine)
     from repro.mapping.flow import FlowConfig, GroupRecord
+
+
+# Process-wide cancellation flag.  Signal handlers (CLI) and the server's
+# drain set it from another context; the recursion checks it at every
+# vector step and the executors at every future wait, and both unwind with
+# RunInterrupted, flushing checkpoints and cancelling outstanding futures
+# on the way out.
+_CANCEL = threading.Event()
+
+
+def request_cancel() -> None:
+    """Ask every in-flight drain to stop at its next safe boundary.
+
+    Safe to call from signal handlers and other threads.  The drains
+    raise :class:`repro.errors.RunInterrupted` once they notice; configured
+    checkpoints are flushed before the exception escapes, so an
+    interrupted run can be resumed to byte-identical output.
+    """
+    _CANCEL.set()
+
+
+def cancel_requested() -> bool:
+    """Whether a cancellation has been requested and not yet cleared."""
+    return _CANCEL.is_set()
+
+
+def reset_cancel() -> None:
+    """Clear the cancellation flag (call before starting a fresh run)."""
+    _CANCEL.clear()
 
 
 class EmitContext:
@@ -55,9 +87,7 @@ class EmitContext:
         """Bind the shared flow state one emission run works against."""
         self.bdd = bdd
         self.config = config
-        self.target = make_target(
-            getattr(config, "target", None) or f"lut-{config.k}"
-        )
+        self.target = make_target(config.target)
         self.lut = lut
         self.signal_of_level = signal_of_level
         self.records: list["GroupRecord"] = records if records is not None else []
@@ -100,157 +130,96 @@ class EmitContext:
 
 
 class VectorEmitter:
-    """Expands pending vectors into engine tasks against an EmitContext."""
+    """Maps function vectors to signals by recursion against an EmitContext."""
 
     def __init__(
-        self, context: EmitContext, policy: DecomposePolicy, graph: TaskGraph
+        self, context: EmitContext, policy: DecomposePolicy, counts: TaskCounts
     ) -> None:
-        """Emit into ``context`` using ``policy``, enqueueing onto ``graph``."""
+        """Emit into ``context`` using ``policy``, counting steps in ``counts``."""
         self.context = context
         self.policy = policy
-        self.graph = graph
+        self.counts = counts
 
-    # ------------------------------------------------------------------
-    # task constructors
-    # ------------------------------------------------------------------
+    @contextmanager
+    def _step(self, kind: str) -> Iterator[None]:
+        """Time one step under the span ``kind``, then count it."""
+        with observe.span(kind):
+            yield
+        self.counts.count(kind)
 
-    def vector_task(
-        self,
-        f_nodes: list[int],
-        cache: dict[int, str],
-        sink: list,
-        positions: list[int],
-        label: str = "",
-    ) -> Task:
-        """The ``decompose-vector`` task mapping ``f_nodes`` to signals.
+    def map_vector(
+        self, f_nodes: list[int], cache: dict[int, str], depth: int = 1
+    ) -> list[str]:
+        """Map ``f_nodes`` to their LUT-network signals, in order.
 
-        Writes ``sink[positions[i]]`` for every ``i``; expansion happens
-        when the executor runs the task.
+        ``cache`` shares emitted LUTs within one group; ``depth`` is the
+        recursion level (1 for a group), kept as ``queue_depth_max``.
         """
-
-        def run() -> list[Task]:
-            return self._expand_vector(f_nodes, cache, sink, positions)
-
-        return self.graph.new_task("decompose-vector", run, label=label)
-
-    def _lut_task(
-        self,
-        f: int,
-        cache: dict[int, str],
-        sink: list,
-        position: int,
-        label: str = "",
-    ) -> Task:
-        def run() -> list[Task]:
-            sink[position] = self.context.emit_lut(f, cache)
-            return []
-
-        return self.graph.new_task("emit-lut", run, label=label)
-
-    # ------------------------------------------------------------------
-    # expansion
-    # ------------------------------------------------------------------
-
-    def _expand_vector(
-        self,
-        f_nodes: list[int],
-        cache: dict[int, str],
-        sink: list,
-        positions: list[int],
-    ) -> list[Task]:
+        if cancel_requested():
+            raise RunInterrupted("group mapping cancelled (signal or server drain)")
         observe.checkpoint()  # budget enforcement point per vector step
+        self.counts.note_depth(depth)
         ctx = self.context
-        config = ctx.config
         bdd = ctx.bdd
-        children: list[Task] = []
-        pending: list[int] = []
-        for i, f in enumerate(f_nodes):
-            if ctx.target.feasible(len(bdd.support(f))):
-                children.append(
-                    self._lut_task(f, cache, sink, positions[i], label=f"o{i}")
-                )
-            else:
-                pending.append(i)
-        if not pending:
-            return children
-
-        if config.mode == "single" and len(pending) > 1:
-            # Classical baseline: every output in isolation.
-            for i in pending:
-                children.append(
-                    self.vector_task(
-                        [f_nodes[i]], cache, sink, [positions[i]], label=f"s{i}"
-                    )
-                )
-            return children
-
-        vector = [f_nodes[i] for i in pending]
-        decision = self.policy.decompose(bdd, vector)
-
-        # Peeled outputs re-emit individually, in peel order (they precede
-        # the record and the shared-pool emission, as in the recursion).
-        for p in decision.peeled:
-            children.append(
-                self.vector_task(
-                    [vector[p]], cache, sink, [positions[pending[p]]], label=f"p{p}"
-                )
+        with self._step("decompose-vector"):
+            feasible = [ctx.target.feasible(len(bdd.support(f))) for f in f_nodes]
+            pending = [i for i, ok in enumerate(feasible) if not ok]
+            vector = [f_nodes[i] for i in pending]
+            # single mode maps every output in isolation (the classical
+            # baseline), so only a lone output reaches the policy.
+            split = ctx.config.mode == "single" and len(pending) > 1
+            decision = (
+                self.policy.decompose(bdd, vector) if vector and not split else None
             )
 
+        signals: list[str | None] = [None] * len(f_nodes)
+        for i, f in enumerate(f_nodes):
+            if feasible[i]:
+                with self._step("emit-lut"):
+                    signals[i] = ctx.emit_lut(f, cache)
+        if split:
+            for i in pending:
+                (signals[i],) = self.map_vector([f_nodes[i]], cache, depth + 1)
+        if decision is None:
+            return signals
+
+        # Peeled outputs map individually, in peel order.
+        for p in decision.peeled:
+            (signals[pending[p]],) = self.map_vector([vector[p]], cache, depth + 1)
         result = decision.result
         if result is None:  # everything peeled away
-            return children
+            return signals
 
-        kept_positions = [positions[pending[p]] for p in decision.kept]
-        record_task = self.graph.new_task(
-            "compose",
-            lambda: self._record_group(decision),
-            deps=tuple(t.id for t in children),
-            label="record",
-        )
-        children.append(record_task)
+        with self._step("compose"):
+            self._record_group(decision)
 
         progressing = decision.progressing
-        stuck = [j for j in range(len(decision.kept)) if j not in progressing]
-
         if progressing:
             # Emit the shared decomposition functions used by progressing
-            # outputs (recursively if the bound set exceeds k), then bind
-            # each code level to its signal.
+            # outputs (mapped recursively if wider than k), binding each
+            # code level to its signal, then map the g-vector over them.
             used_pool = sorted(
                 {idx for j in progressing for idx in result.assignments[j]}
             )
             for idx in used_pool:
-                children.extend(self._pool_tasks(idx, decision, cache))
-            g_vector = [result.g_nodes[j] for j in progressing]
-            g_positions = [kept_positions[j] for j in progressing]
-            children.append(
-                self.vector_task(
-                    g_vector,
-                    cache,
-                    sink,
-                    g_positions,
-                    label="g",
-                )
+                self._map_pool(idx, decision, cache, depth)
+            g_signals = self.map_vector(
+                [result.g_nodes[j] for j in progressing], cache, depth + 1
             )
+            for j, sig in zip(progressing, g_signals):
+                signals[pending[decision.kept[j]]] = sig
 
-        for j in stuck:
-            children.append(
-                self._shannon_task(
-                    vector[decision.kept[j]], cache, sink, kept_positions[j]
-                )
-            )
+        for j, p in enumerate(decision.kept):
+            if j not in progressing:
+                signals[pending[p]] = self._shannon(vector[p], cache, depth)
 
-        children.append(
-            self.graph.new_task(
-                "compose",
-                lambda: self._join_vector(sink, positions),
-                deps=tuple(t.id for t in children),
-                label="join",
-            )
-        )
-        return children
+        with self._step("compose"):
+            missing = [i for i, sig in enumerate(signals) if sig is None]
+            if missing:
+                raise AssertionError(f"vector outputs {missing} got no signal")
+        return signals
 
-    def _record_group(self, decision) -> list[Task]:
+    def _record_group(self, decision: PolicyDecision) -> None:
         """Book-keep one multiple-output decomposition step."""
         from repro.mapping.flow import GroupRecord
 
@@ -270,95 +239,54 @@ class VectorEmitter:
         )
         observe.gauge("max_group_outputs", len(decision.kept))
         observe.gauge("max_global_classes", result.num_global_classes)
-        return []
 
-    def _pool_tasks(
-        self, idx: int, decision, cache: dict[int, str]
-    ) -> list[Task]:
-        """Emit pool function ``idx`` and bind its code levels.
-
-        Small d-functions emit directly (the bind rides on the emit-lut
-        task); wide ones become a vector subtask plus a ``compose`` bind,
-        keeping the binding adjacent to the emission exactly as in the
-        recursion (each d bound right after it is produced).
-        """
+    def _map_pool(
+        self, idx: int, decision: PolicyDecision, cache: dict[int, str], depth: int
+    ) -> None:
+        """Emit pool function ``idx`` (or map it, if wider than k), then
+        bind the code levels it drives."""
         ctx = self.context
         result = decision.result
         d_node = result.d_pool[idx].node
-        cell: list = [None]
 
-        def bind() -> list[Task]:
-            d_sig = cell[0]
+        def bind(d_sig: str) -> None:
             for j in decision.progressing:
                 for bit, assigned in enumerate(result.assignments[j]):
                     if assigned == idx:
                         ctx.signal_of_level[result.code_levels[j][bit]] = d_sig
-            return []
 
         if ctx.target.feasible(len(ctx.bdd.support(d_node))):
+            with self._step("emit-lut"):
+                bind(ctx.emit_lut(d_node, cache))
+            return
+        (d_sig,) = self.map_vector([d_node], cache, depth + 1)
+        with self._step("compose"):
+            bind(d_sig)
 
-            def run() -> list[Task]:
-                cell[0] = ctx.emit_lut(d_node, cache)
-                bind()
-                return []
-
-            return [self.graph.new_task("emit-lut", run, label=f"d{idx}")]
-
-        inner = self.vector_task([d_node], cache, cell, [0], label=f"d{idx}")
-        join = self.graph.new_task(
-            "compose", bind, deps=(inner.id,), label=f"bind-d{idx}"
-        )
-        return [inner, join]
-
-    def _shannon_task(
-        self, f: int, cache: dict[int, str], sink: list, position: int
-    ) -> Task:
+    def _shannon(self, f: int, cache: dict[int, str], depth: int) -> str:
         """Fallback: f = x ? f1 : f0 with a 3-input mux LUT."""
         ctx = self.context
+        bdd = ctx.bdd
 
-        def run() -> list[Task]:
-            bdd = ctx.bdd
-            support = sorted(bdd.support(f))
+        # split on the variable minimizing the larger cofactor support
+        def split_cost(lvl: int) -> tuple[int, int]:
+            lo_ = bdd.cofactor(f, lvl, False)
+            hi_ = bdd.cofactor(f, lvl, True)
+            a, b2 = len(bdd.support(lo_)), len(bdd.support(hi_))
+            return (max(a, b2), a + b2)
 
-            # split on the variable minimizing the larger cofactor support
-            def split_cost(lvl: int) -> tuple[int, int]:
-                lo_ = bdd.cofactor(f, lvl, False)
-                hi_ = bdd.cofactor(f, lvl, True)
-                a, b2 = len(bdd.support(lo_)), len(bdd.support(hi_))
-                return (max(a, b2), a + b2)
-
-            lvl = min(support, key=split_cost)
+        with self._step("shannon-split"):
+            lvl = min(sorted(bdd.support(f)), key=split_cost)
             lo = bdd.cofactor(f, lvl, False)
             hi = bdd.cofactor(f, lvl, True)
-            cell: list = [None, None]
-            cof_task = self.vector_task(
-                [lo, hi], cache, cell, [0, 1], label="cofactors"
+        lo_sig, hi_sig = self.map_vector([lo, hi], cache, depth + 1)
+        with self._step("compose"):
+            observe.add("shannon_splits")
+            name = ctx.lut.fresh_name("M")
+            # mux(s, lo, hi): fanins [sel, lo, hi]
+            ctx.lut.add_node(
+                name,
+                [ctx.signal_of_level[lvl], lo_sig, hi_sig],
+                Sop.from_strings(3, ["01-", "1-1"]),  # ~s&lo | s&hi
             )
-
-            def build_mux() -> list[Task]:
-                sel_sig = ctx.signal_of_level[lvl]
-                observe.add("shannon_splits")
-                name = ctx.lut.fresh_name("M")
-                # mux(s, lo, hi): fanins [sel, lo, hi]
-                ctx.lut.add_node(
-                    name,
-                    [sel_sig, cell[0], cell[1]],
-                    Sop.from_strings(3, ["01-", "1-1"]),  # ~s&lo | s&hi
-                )
-                sink[position] = name
-                return []
-
-            join = self.graph.new_task(
-                "compose", build_mux, deps=(cof_task.id,), label="mux"
-            )
-            return [cof_task, join]
-
-        return self.graph.new_task("shannon-split", run, label="shannon")
-
-    def _join_vector(self, sink: list, positions: list[int]) -> list[Task]:
-        for pos in positions:
-            if sink[pos] is None:
-                raise AssertionError(
-                    f"vector compose ran with unresolved position {pos}"
-                )
-        return []
+        return name

@@ -1,4 +1,4 @@
-"""Pluggable executors that drain the task graph, plus the Engine facade.
+"""The executors that map output groups, plus the Engine facade.
 
 Every executor maps each output group on its own and re-imports the
 results *sequentially in group order*; they differ only in where a group
@@ -24,7 +24,7 @@ Three executors sit behind the seam:
   runs ``run_group`` in the parent when the collect loop first asks for
   it.  A serial run that keeps no portable results (no result cache,
   race, checkpoint, resume file or fault plan) skips the export and
-  merge: it drains every group directly on the engine's own context with
+  merge: it maps every group directly on the engine's own context with
   :func:`drain_groups` -- the drain ``run_group`` performs -- so the BDD
   statistics and budgets see the decomposition.
 - ``remote`` (:class:`repro.engine.remote.executor.RemoteExecutor`)
@@ -43,7 +43,7 @@ set, merged group results are also serialized to a versioned checkpoint
 file (:mod:`repro.engine.checkpoint`) so an interrupted run can resume
 with ``FlowConfig.resume_from`` and produce byte-identical output.
 
-The :class:`Engine` facade bundles context + policy + graph + executor
+The :class:`Engine` facade bundles context + policy + counters + executor
 behind the two calls the flows need: ``run_groups`` and ``stats``.
 """
 
@@ -62,7 +62,7 @@ from concurrent.futures import (
 )
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 from repro import observe
 from repro.bdd.manager import BDD
@@ -75,10 +75,18 @@ from repro.engine.checkpoint import (
     load_checkpoint,
     payload_fingerprint,
 )
-from repro.engine.emitter import EmitContext, VectorEmitter
+# The cancel flag lives with the recursion that polls it; the CLI, the
+# server and the batch layer reach it through this module.
+from repro.engine.emitter import (  # noqa: F401 - request/reset re-exported
+    EmitContext,
+    VectorEmitter,
+    cancel_requested,
+    request_cancel,
+    reset_cancel,
+)
 from repro.engine.faults import NO_FAULTS, ResolvedFaults, perform_fault
 from repro.engine.policies import make_policy, parse_policy_spec
-from repro.engine.tasks import EngineStats, TaskGraph
+from repro.engine.tasks import EngineStats, TaskCounts
 from repro.engine.worker import GroupPayload, GroupResult, run_group
 from repro.errors import (
     BudgetExceeded,
@@ -100,85 +108,16 @@ MAX_BACKOFF_SECONDS = 2.0
 CANCEL_POLL_SECONDS = 0.1
 
 
-# Process-wide cancellation flag.  Signal handlers (CLI) and the server's
-# drain set it from another context; the executors check it at safe
-# boundaries -- task pops in the serial drain, future waits in the process
-# drain -- and unwind with RunInterrupted, flushing checkpoints and
-# cancelling outstanding futures on the way out.
-_CANCEL = threading.Event()
-
-
-def request_cancel() -> None:
-    """Ask every in-flight drain to stop at its next safe boundary.
-
-    Safe to call from signal handlers and other threads.  The drains
-    raise :class:`repro.errors.RunInterrupted` once they notice; configured
-    checkpoints are flushed before the exception escapes, so an
-    interrupted run can be resumed to byte-identical output.
-    """
-    _CANCEL.set()
-
-
-def cancel_requested() -> bool:
-    """Whether a cancellation has been requested and not yet cleared."""
-    return _CANCEL.is_set()
-
-
-def reset_cancel() -> None:
-    """Clear the cancellation flag (call before starting a fresh run)."""
-    _CANCEL.clear()
-
-
-class Executor(Protocol):
-    """Drains group task trees against an :class:`Engine`."""
-
-    name: str
-    workers: int
-
-    def run_groups(
-        self, engine: "Engine", groups: list[list[int]]
-    ) -> list[list[str]]:
-        """Map each group (a list of BDD roots) to its output signals."""
-        ...
-
-
 def drain_groups(
-    emitter: VectorEmitter, graph: TaskGraph, groups: list[list[int]]
+    emitter: VectorEmitter, groups: list[list[int]]
 ) -> list[list[str]]:
-    """Drain each group's task tree on ``emitter``'s context, in order.
+    """Map each group on ``emitter``'s context, in order.
 
     The one in-parent drain: :func:`repro.engine.worker.run_group` runs it
     on a worker's private manager, :class:`SerialExecutor` on the engine's
     own context, and a degraded group at its merge position.
     """
-    results: list[list[str]] = []
-    for gi, f_nodes in enumerate(groups):
-        cache: dict[int, str] = {}
-        sink: list = [None] * len(f_nodes)
-        root = emitter.vector_task(
-            f_nodes, cache, sink, list(range(len(f_nodes))),
-            label=f"group{gi}",
-        )
-        _drain(graph, [root])
-        results.append(list(sink))
-    return results
-
-
-def _drain(graph: TaskGraph, roots: list) -> None:
-    # Children are pushed in reverse so they pop in expansion order: a
-    # task's whole subtree completes before its next sibling runs, which
-    # is the depth-first order of the recursion it replaces.
-    stack = list(reversed(roots))
-    while stack:
-        if cancel_requested():
-            raise RunInterrupted(
-                "serial drain cancelled (signal or server drain)"
-            )
-        graph.note_queue_depth(len(stack))
-        task = stack.pop()
-        with observe.span(task.kind):
-            children = graph.execute(task)
-        stack.extend(reversed(children))
+    return [emitter.map_vector(f_nodes, {}) for f_nodes in groups]
 
 
 def candidate_payload(payload: GroupPayload, policy: str) -> GroupPayload:
@@ -290,7 +229,7 @@ class ProcessExecutor:
         engine's context instead (see :meth:`_portable`).
         """
         if not self._portable(engine, groups):
-            return drain_groups(engine.emitter, engine.graph, groups)
+            return drain_groups(engine.emitter, groups)
         config = engine.config
         faults = self._resolve_faults(config, len(groups))
         resume = self._load_resume(config)
@@ -470,7 +409,7 @@ class ProcessExecutor:
                     raise RunInterrupted(
                         "process drain cancelled (signal or server drain)"
                     )
-                engine.graph.note_queue_depth(len(subs) - remaining)
+                engine.counts.note_depth(len(subs) - remaining)
                 if sub.cached is not None:
                     if not sub.cache_hit:
                         self._counts["checkpoint_replayed"] += 1
@@ -707,9 +646,7 @@ class ProcessExecutor:
             if fault is not None:
                 self._counts["faults_injected"] += 1
                 perform_fault(fault, in_worker=False)
-            (signals,) = drain_groups(
-                engine.emitter, engine.graph, [sub.f_nodes]
-            )
+            (signals,) = drain_groups(engine.emitter, [sub.f_nodes])
         except (RunInterrupted, BudgetExceeded):
             raise  # run teardown, not a group failure
         except Exception as exc:
@@ -800,11 +737,10 @@ class SerialExecutor(ProcessExecutor):
     retries, checkpoint/resume and fault injection from the shared code;
     each group runs when the collect loop reaches it
     (:class:`_InProcessFuture`), so a checkpoint is flushed group by
-    group.  Every other run drains each group directly on the engine's
+    group.  Every other run maps each group directly on the engine's
     own context with :func:`drain_groups` -- the drain ``run_group``
-    performs, without the export and merge around it -- replaying the
-    historical recursion order, so the mapped network (LUT names
-    included) is bit-identical to the pre-engine flow.
+    performs, without the export and merge around it -- so the mapped
+    network (LUT names included) is the same under every executor.
     """
 
     name = "serial"
@@ -827,8 +763,8 @@ def merge_group_result(
     Worker-local node names are renamed through the parent network's
     ``fresh_name`` counter in emission order, so the final names match a
     serial run; constants dedup through the shared constant cache.
-    Worker task counts fold into the parent graph, as offloaded work when
-    ``offloaded`` (the group ran in a pool or remote worker).
+    The group's step counts fold into the engine's counters, as offloaded
+    work when ``offloaded`` (the group ran in a pool or remote worker).
     """
     ctx = engine.context
     rename: dict[str, str] = {}
@@ -847,7 +783,7 @@ def merge_group_result(
         rename[spec.name] = name
         observe.add("shannon_splits" if prefix == "M" else "luts_emitted")
     ctx.records.extend(result.records)
-    engine.graph.merge_counts(result.kind_counts, offloaded=offloaded)
+    engine.counts.merge_counts(result.kind_counts, offloaded=offloaded)
     return [rename.get(sig, sig) for sig in result.outputs]
 
 
@@ -937,9 +873,9 @@ def shutdown_pool(force: bool = False) -> None:
 atexit.register(shutdown_pool)
 
 
-def make_executor(config: "FlowConfig") -> Executor:
+def make_executor(config: "FlowConfig") -> ProcessExecutor:
     """Resolve ``FlowConfig.executor`` to an executor instance."""
-    name = getattr(config, "executor", "serial")
+    name = config.executor
     if name == "serial":
         return SerialExecutor()
     if name == "process":
@@ -960,7 +896,7 @@ EXECUTORS = ("serial", "process", "remote")
 
 
 class Engine:
-    """Context + policy + graph + executor, bundled for the flows.
+    """Context + policy + counters + executor, bundled for the flows.
 
     One Engine maps one synthesis run: the collapsed flow creates one per
     network, the structural flow one per run (batches share it so records
@@ -974,14 +910,14 @@ class Engine:
         lut,
         signal_of_level: dict[int, str],
     ) -> None:
-        """Assemble context, task graph, emitter, and executor for one run."""
+        """Assemble context, step counters, emitter, and executor for one run."""
         self.config = config
         self.context = EmitContext(bdd, config, lut, signal_of_level)
-        self.graph = TaskGraph()
+        self.counts = TaskCounts()
         self.emitter = VectorEmitter(
-            self.context, make_policy(config), self.graph
+            self.context, make_policy(config), self.counts
         )
-        self.executor: Executor = make_executor(config)
+        self.executor = make_executor(config)
         self.race_policies = parse_policy_spec(config.policy)
         self.racing = len(self.race_policies) > 1
         self.race_counts = {
@@ -1023,12 +959,10 @@ class Engine:
 
         Folds the executor's reliability counters (retries, timeouts,
         degradations, checkpoint activity), the result-cache counters and
-        the portfolio-race counters into the task-graph counts.
+        the portfolio-race counters into the step counts.
         """
-        stats = self.graph.stats(self.executor.name, self.executor.workers)
-        reliability = getattr(self.executor, "reliability", None)
-        if reliability is not None:
-            stats = dc_replace(stats, **reliability())
+        stats = self.counts.stats(self.executor.name, self.executor.workers)
+        stats = dc_replace(stats, **self.executor.reliability())
         if self.group_cache is not None:
             stats = dc_replace(stats, **self.group_cache.counters())
         return dc_replace(stats, **self.race_counts)

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the task-graph engine.
+"""Deterministic fault injection for the engine's executors.
 
 Recovery code that only runs when hardware misbehaves is untestable by
 accident -- this module makes worker failures *reproducible*.  A

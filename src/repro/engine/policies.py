@@ -16,7 +16,7 @@ They now live here as the default :class:`LadderPeelPolicy` behind the
 respect to the LUT network: it decomposes BDDs (allocating code variables
 as a side effect) but never emits nodes, which is what makes it testable in
 isolation and swappable via ``FlowConfig`` -- the emitter turns its
-:class:`PolicyDecision` into engine tasks.
+:class:`PolicyDecision` into LUTs.
 
 The historical hard caps are now configuration (``FlowConfig.ladder_cap``,
 ``FlowConfig.peel_rounds``) and no longer silent: when either cap truncates
@@ -97,7 +97,7 @@ class DecomposePolicy(Protocol):
     """Strategy interface: plan the decomposition of one pending vector.
 
     ``vector`` holds functions whose support exceeds ``k``; the returned
-    decision steers the emitter's task expansion.  Implementations must be
+    decision steers the emitter's recursion.  Implementations must be
     deterministic (the executor-equivalence guarantee relies on it).
     """
 
@@ -125,9 +125,7 @@ class LadderPeelPolicy:
         bound set from the kernel's winner memo.
         """
         self.config = config
-        self.target = make_target(
-            getattr(config, "target", None) or f"lut-{config.k}"
-        )
+        self.target = make_target(config.target)
         self.kernel = BoundSetKernel()
 
     # -- one decomposition attempt -------------------------------------
@@ -279,16 +277,15 @@ class FlatLadderPolicy(LadderPeelPolicy):
         )
 
 
-def make_policy(config: "FlowConfig", name: str | None = None) -> DecomposePolicy:
-    """Resolve a policy name (default ``FlowConfig.policy``) to an instance.
+def make_policy(config: "FlowConfig") -> DecomposePolicy:
+    """Resolve ``FlowConfig.policy`` to an instance.
 
     A ``race:`` spec resolves to its *first* candidate -- that is the
     policy the parent engine's own emitter uses for paths that cannot
     race (the degraded in-parent fallback); the executors run the full
     portfolio through :func:`parse_policy_spec` themselves.
     """
-    spec = name if name is not None else getattr(config, "policy", "ladder-peel")
-    candidates = parse_policy_spec(spec)
+    candidates = parse_policy_spec(config.policy)
     factory = POLICIES.get(candidates[0])
     if factory is None:
         raise ValueError(

@@ -1,36 +1,27 @@
-"""First-class decomposition tasks and the work graph that holds them.
+"""The four step kinds of the mapping recursion and the run's counters.
 
-A :class:`Task` is one schedulable step of the synthesis flow.  Four kinds
-cover the whole flow (mirroring the paper's recursion):
+:meth:`repro.engine.emitter.VectorEmitter.map_vector` counts every step
+of the paper's recursion (Section 7) under one of four kinds:
 
-- ``decompose-vector``: decompose a vector of functions; expands into
-  child tasks (peeled singletons, d-function emissions, the g-vector,
-  Shannon splits) plus a trailing ``compose``.
-- ``emit-lut``: materialize a k-feasible function as one LUT node.
-- ``shannon-split``: mux fallback for a non-decomposable function;
-  expands into a cofactor vector task plus a ``compose`` building the mux.
-- ``compose``: join point -- binds produced signals (code levels, output
-  cells) once its dependencies are done.
+- ``decompose-vector``: one vector, decomposed by the policy (or split
+  into single outputs in ``single`` mode);
+- ``emit-lut``: one k-feasible function emitted as a LUT;
+- ``shannon-split``: the split variable and cofactors of one output that
+  does not shrink;
+- ``compose``: one join -- a group record, a code-level bind, a Shannon
+  mux, or the check that every output of a vector got a signal.
 
-Tasks carry *declared* dependencies (``deps``): a task must not run before
-every dependency is finished.  Executors are free to schedule anything
-whose dependencies are met; the serial executor additionally replays the
-exact depth-first order of the historical recursion so its output is
-bit-identical to the pre-engine flow (see ``docs/ARCHITECTURE.md``).
-
-The graph keeps per-kind counters and a queue-depth high-water mark;
-:meth:`TaskGraph.stats` snapshots them as an :class:`EngineStats` for the
-run report's ``engine`` section (``repro-run-report/5``).
+:class:`TaskCounts` holds those counts; group results carry them across
+processes (``GroupResult.kind_counts``), and :meth:`TaskCounts.stats`
+snapshots them as an :class:`EngineStats` for the run report's
+``engine`` section (``repro-run-report/5``).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Literal
 
-TaskKind = Literal["decompose-vector", "emit-lut", "shannon-split", "compose"]
-
-#: All task kinds, in a stable order (used by stats and reports).
+#: All step kinds, in a stable order (used by stats and reports).
 TASK_KINDS: tuple[str, ...] = (
     "decompose-vector",
     "emit-lut",
@@ -44,13 +35,15 @@ class EngineStats:
     """Counters of one engine run (flat scalars, report-ready).
 
     Attributes:
-        executor: executor name that drained the graph.
+        executor: executor name that mapped the groups.
         workers: process-pool width (1 for the serial executor).
-        tasks_total: tasks executed, all kinds.
+        tasks_total: steps run, all kinds.
         tasks_decompose / tasks_emit_lut / tasks_shannon / tasks_compose:
-            per-kind execution counts.
-        queue_depth_max: high-water mark of simultaneously runnable tasks.
-        tasks_offloaded: tasks executed inside worker processes.
+            per-kind step counts.
+        queue_depth_max: the deepest recursion within one group, or the
+            most groups outstanding in the collect loop, whichever is
+            larger.
+        tasks_offloaded: steps run inside worker processes.
         tasks_retried: group submissions retried after a failure.
         task_timeouts: group submissions abandoned for exceeding
             ``FlowConfig.task_timeout``.
@@ -124,107 +117,51 @@ class EngineStats:
         return data
 
 
-_STAT_FIELD = {
-    "decompose-vector": "tasks_decompose",
-    "emit-lut": "tasks_emit_lut",
-    "shannon-split": "tasks_shannon",
-    "compose": "tasks_compose",
-}
-
-
-@dataclass
-class Task:
-    """One schedulable unit of decomposition work.
-
-    ``run`` performs the step against the engine's emission context and
-    returns the ordered list of child tasks it expands into (empty for
-    leaves).  ``deps`` are ids of tasks that must be finished first.
-    """
-
-    id: int
-    kind: str
-    run: Callable[[], list["Task"]]
-    deps: tuple[int, ...] = ()
-    label: str = ""
-    done: bool = False
-
-
-class TaskGraph:
-    """The work queue: tasks, dependency bookkeeping, and counters."""
+class TaskCounts:
+    """Per-kind step counts of one run and its depth high-water mark."""
 
     def __init__(self) -> None:
-        """Start empty: no tasks, all per-kind counters at zero."""
-        self.tasks: dict[int, Task] = {}
-        self._next_id = 0
-        self._kind_counts: dict[str, int] = {kind: 0 for kind in TASK_KINDS}
-        self._executed = 0
+        """Start with every kind at zero."""
+        self._kind_counts: dict[str, int] = dict.fromkeys(TASK_KINDS, 0)
         self._offloaded = 0
-        self._queue_depth_max = 0
+        self._depth_max = 0
 
-    def new_task(
-        self,
-        kind: str,
-        run: Callable[[], list[Task]],
-        deps: tuple[int, ...] = (),
-        label: str = "",
-    ) -> Task:
-        """Register a task; ``deps`` must already exist in the graph."""
-        if kind not in _STAT_FIELD:
-            raise ValueError(f"unknown task kind {kind!r}")
-        for dep in deps:
-            if dep not in self.tasks:
-                raise ValueError(f"dependency {dep} not in graph")
-        task = Task(id=self._next_id, kind=kind, run=run, deps=deps, label=label)
-        self._next_id += 1
-        self.tasks[task.id] = task
-        return task
+    def count(self, kind: str) -> None:
+        """Count one step of ``kind`` run in this process."""
+        self._kind_counts[kind] += 1
 
-    def execute(self, task: Task) -> list[Task]:
-        """Run a task whose dependencies are met; return its children."""
-        if task.done:
-            raise ValueError(f"task {task.id} ({task.kind}) already executed")
-        for dep in task.deps:
-            if not self.tasks[dep].done:
-                raise ValueError(
-                    f"task {task.id} ({task.kind}) ran before dependency {dep}"
-                )
-        children = task.run()
-        task.done = True
-        self._executed += 1
-        self._kind_counts[task.kind] += 1
-        return children
-
-    def note_queue_depth(self, depth: int) -> None:
-        """Record the current number of runnable/queued tasks."""
-        if depth > self._queue_depth_max:
-            self._queue_depth_max = depth
+    def note_depth(self, depth: int) -> None:
+        """Record a recursion depth or a number of outstanding groups."""
+        if depth > self._depth_max:
+            self._depth_max = depth
 
     def merge_counts(
         self, kind_counts: dict[str, int], offloaded: bool = False
     ) -> None:
-        """Fold per-kind task counts executed elsewhere (worker processes)."""
+        """Fold per-kind counts of a group mapped elsewhere (a worker, a
+        checkpoint or a cache entry)."""
         for kind, count in kind_counts.items():
             if kind not in self._kind_counts:
                 raise ValueError(f"unknown task kind {kind!r}")
             self._kind_counts[kind] += count
-            self._executed += count
             if offloaded:
                 self._offloaded += count
 
     def kind_counts(self) -> dict[str, int]:
-        """Executed-task counts by kind (includes merged worker counts)."""
+        """Step counts by kind (including merged counts)."""
         return dict(self._kind_counts)
 
     def stats(self, executor: str = "serial", workers: int = 1) -> EngineStats:
         """Snapshot the counters as a report-ready :class:`EngineStats`."""
+        counts = self._kind_counts
         return EngineStats(
             executor=executor,
             workers=workers,
-            tasks_total=self._executed,
-            tasks_decompose=self._kind_counts["decompose-vector"],
-            tasks_emit_lut=self._kind_counts["emit-lut"],
-            tasks_shannon=self._kind_counts["shannon-split"],
-            tasks_compose=self._kind_counts["compose"],
-            queue_depth_max=self._queue_depth_max,
+            tasks_total=sum(counts.values()),
+            tasks_decompose=counts["decompose-vector"],
+            tasks_emit_lut=counts["emit-lut"],
+            tasks_shannon=counts["shannon-split"],
+            tasks_compose=counts["compose"],
+            queue_depth_max=self._depth_max,
             tasks_offloaded=self._offloaded,
         )

@@ -10,7 +10,7 @@ with fresh names (see :func:`repro.engine.executors.merge_group_result`).
 
 Workers force ``jobs=1`` and the serial executor internally, so no nested
 process pools are spawned, and they run untraced (the parent's spans
-around submit/collect still time them; task counts are merged back via
+around submit/collect still time them; step counts are merged back via
 ``kind_counts``).
 
 Everything here must stay module-level and picklable: the pool pickles
@@ -85,7 +85,7 @@ def run_group(payload: GroupPayload) -> GroupResult:
     from repro.engine.emitter import EmitContext, VectorEmitter
     from repro.engine.executors import drain_groups
     from repro.engine.policies import make_policy
-    from repro.engine.tasks import TaskGraph
+    from repro.engine.tasks import TaskCounts
     from repro.network.network import Network
 
     perform_fault(payload.fault, in_worker=True)
@@ -110,9 +110,9 @@ def run_group(payload: GroupPayload) -> GroupResult:
         signal_of_level[lvl] = name
 
     context = EmitContext(bdd, config, lut, signal_of_level)
-    graph = TaskGraph()
-    emitter = VectorEmitter(context, make_policy(config), graph)
-    (signals,) = drain_groups(emitter, graph, [roots])
+    counts = TaskCounts()
+    emitter = VectorEmitter(context, make_policy(config), counts)
+    (signals,) = drain_groups(emitter, [roots])
 
     nodes: list[NodeSpec] = []
     for name, node in lut.nodes.items():
@@ -133,5 +133,5 @@ def run_group(payload: GroupPayload) -> GroupResult:
         nodes=tuple(nodes),
         outputs=tuple(signals),
         records=tuple(context.records),
-        kind_counts=graph.kind_counts(),
+        kind_counts=counts.kind_counts(),
     )

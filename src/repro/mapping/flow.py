@@ -17,13 +17,13 @@ Functions that do not shrink under functional decomposition fall back to a
 Shannon split (a 3-input mux LUT plus the two cofactors), which guarantees
 termination for arbitrary functions.
 
-The decomposition work itself runs on the task-graph engine
-(:mod:`repro.engine`): every step is an explicit task drained by the
-executor named in ``FlowConfig.executor`` -- ``serial`` replays the
-historical recursion order bit-identically, ``process`` fans independent
-output groups out to worker processes, ``remote`` fans them out across
-hosts through a broker (``FlowConfig.broker``; see
-``docs/DISTRIBUTED.md``).  The heuristics live behind
+The decomposition itself runs in the engine (:mod:`repro.engine`): each
+output group is mapped by the recursion
+:meth:`repro.engine.emitter.VectorEmitter.map_vector`, wherever the
+executor named in ``FlowConfig.executor`` runs it -- ``serial`` in this
+process, ``process`` in worker processes, ``remote`` across hosts through
+a broker (``FlowConfig.broker``; see ``docs/DISTRIBUTED.md``).  Every
+executor emits the same bytes.  The heuristics live behind
 ``FlowConfig.policy`` (see :mod:`repro.engine.policies`).
 """
 

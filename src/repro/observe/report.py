@@ -15,7 +15,7 @@ Schema (all times in seconds, all counters numeric)::
       "schema": "repro-run-report/5",
       "total_seconds": <float>,          # sum of top-level span times
       "meta": {<str>: <scalar>, ...},    # free-form run metadata
-      "engine": {<str>: <scalar>, ...},  # optional: task-graph engine stats
+      "engine": {<str>: <scalar>, ...},  # optional: engine stats
       "target": {"name": <str>, ...},    # optional: technology-target stats
       "failures": [<failure>, ...],      # optional: task-failure events
       "spans": [<span>, ...]             # top-level spans in open order
@@ -90,8 +90,8 @@ def build_report(
 ) -> dict[str, Any]:
     """Serialize a tracer's span tree as a schema-conforming report.
 
-    ``engine`` is the optional flat scalar object describing a task-graph
-    engine run (``repro.engine``); pass e.g.
+    ``engine`` is the optional flat scalar object describing an engine
+    run (``repro.engine``); pass e.g.
     ``FlowResult.engine_stats.as_dict()``.  ``target`` is the optional
     technology-target section (pass
     :func:`repro.targets.report_section`).  Task-failure events recorded

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.benchcircuits.registry import get_circuit
-from repro.engine import parse_fault_plan, synthesize_batch
+from repro.engine import LadderPeelPolicy, parse_fault_plan, synthesize_batch
 from repro.engine.executors import (
     cancel_requested,
     request_cancel,
@@ -58,6 +58,24 @@ class TestCancelFlag:
 
 
 class TestCancelMidRun:
+    def test_serial_cancel_inside_a_group(self, monkeypatch):
+        # The recursion checks the flag at every vector step, so a cancel
+        # raised while a group decomposes stops the run before the policy
+        # is asked to decompose anything else.
+        real = LadderPeelPolicy.decompose
+        calls = []
+
+        def decompose(self, bdd, vector):
+            calls.append(len(vector))
+            if len(calls) == 1:
+                request_cancel()
+            return real(self, bdd, vector)
+
+        monkeypatch.setattr(LadderPeelPolicy, "decompose", decompose)
+        with pytest.raises(RunInterrupted):
+            synthesize(get_circuit("misex1").build(), FlowConfig())
+        assert len(calls) == 1
+
     def test_cancel_flushes_checkpoint_and_resume_is_byte_identical(
         self, tmp_path
     ):

@@ -1,76 +1,22 @@
-"""Unit tests for the task graph: kinds, dependencies, counters."""
+"""The step counters, and the per-kind counts and spans of real runs."""
 
 import pytest
 
-from repro.engine.tasks import TASK_KINDS, EngineStats, TaskGraph
-
-
-def noop():
-    return []
-
-
-class TestTaskCreation:
-    def test_ids_are_sequential(self):
-        graph = TaskGraph()
-        tasks = [graph.new_task("emit-lut", noop) for _ in range(3)]
-        assert [t.id for t in tasks] == [0, 1, 2]
-
-    def test_unknown_kind_rejected(self):
-        graph = TaskGraph()
-        with pytest.raises(ValueError, match="unknown task kind"):
-            graph.new_task("frobnicate", noop)
-
-    def test_unknown_dependency_rejected(self):
-        graph = TaskGraph()
-        with pytest.raises(ValueError, match="dependency 7"):
-            graph.new_task("compose", noop, deps=(7,))
-
-    def test_all_kinds_accepted(self):
-        graph = TaskGraph()
-        for kind in TASK_KINDS:
-            graph.new_task(kind, noop)
-
-
-class TestExecution:
-    def test_execute_returns_children(self):
-        graph = TaskGraph()
-        child = graph.new_task("emit-lut", noop)
-        parent = graph.new_task("decompose-vector", lambda: [child])
-        assert graph.execute(parent) == [child]
-        assert parent.done
-
-    def test_double_execution_rejected(self):
-        graph = TaskGraph()
-        task = graph.new_task("emit-lut", noop)
-        graph.execute(task)
-        with pytest.raises(ValueError, match="already executed"):
-            graph.execute(task)
-
-    def test_unmet_dependency_rejected(self):
-        graph = TaskGraph()
-        dep = graph.new_task("emit-lut", noop)
-        join = graph.new_task("compose", noop, deps=(dep.id,))
-        with pytest.raises(ValueError, match="before dependency"):
-            graph.execute(join)
-        graph.execute(dep)
-        graph.execute(join)  # now fine
-
-    def test_run_side_effects_happen_once(self):
-        graph = TaskGraph()
-        hits = []
-        task = graph.new_task("emit-lut", lambda: (hits.append(1), [])[1])
-        graph.execute(task)
-        assert hits == [1]
+from repro import observe
+from repro.benchcircuits.registry import get_circuit
+from repro.engine.tasks import TASK_KINDS, EngineStats, TaskCounts
+from repro.mapping.flow import FlowConfig, synthesize
+from repro.observe import Tracer, build_report, flatten_phases
 
 
 class TestCounters:
     def test_kind_counts_and_stats(self):
-        graph = TaskGraph()
+        counts = TaskCounts()
         for kind in ("emit-lut", "emit-lut", "compose", "shannon-split"):
-            graph.execute(graph.new_task(kind, noop))
-        graph.note_queue_depth(5)
-        graph.note_queue_depth(2)
-        stats = graph.stats(executor="serial", workers=1)
+            counts.count(kind)
+        counts.note_depth(5)
+        counts.note_depth(2)
+        stats = counts.stats(executor="serial", workers=1)
         assert stats.tasks_total == 4
         assert stats.tasks_emit_lut == 2
         assert stats.tasks_compose == 1
@@ -78,12 +24,13 @@ class TestCounters:
         assert stats.tasks_decompose == 0
         assert stats.queue_depth_max == 5
         assert stats.tasks_offloaded == 0
+        assert set(counts.kind_counts()) == set(TASK_KINDS)
 
     def test_merge_counts_marks_offloaded(self):
-        graph = TaskGraph()
-        graph.execute(graph.new_task("compose", noop))
-        graph.merge_counts({"emit-lut": 3, "decompose-vector": 2}, offloaded=True)
-        stats = graph.stats(executor="process", workers=2)
+        counts = TaskCounts()
+        counts.count("compose")
+        counts.merge_counts({"emit-lut": 3, "decompose-vector": 2}, offloaded=True)
+        stats = counts.stats(executor="process", workers=2)
         assert stats.tasks_total == 6
         assert stats.tasks_offloaded == 5
         assert stats.tasks_emit_lut == 3
@@ -91,12 +38,61 @@ class TestCounters:
         assert stats.workers == 2
 
     def test_merge_unknown_kind_rejected(self):
-        graph = TaskGraph()
+        counts = TaskCounts()
         with pytest.raises(ValueError, match="unknown task kind"):
-            graph.merge_counts({"bogus": 1})
+            counts.merge_counts({"bogus": 1})
 
     def test_stats_as_dict_is_flat_scalars(self):
         stats = EngineStats(executor="serial", workers=1, tasks_total=7)
         payload = stats.as_dict()
         assert payload["tasks_total"] == 7
         assert all(isinstance(v, (str, int)) for v in payload.values())
+
+
+# (total, decompose-vector, emit-lut, shannon-split, compose) with k=5.
+# Checkpoints, cache entries and the remote wire carry these counts, so
+# every executor must count each step of the recursion the same way.
+PINNED_COUNTS = {
+    "misex1": (47, 11, 22, 2, 12),
+    "vg2": (133, 31, 54, 4, 44),
+}
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+def test_per_kind_counts_are_pinned(name, executor):
+    config = FlowConfig(k=5, executor=executor, jobs=2)
+    stats = synthesize(get_circuit(name).build(), config).engine_stats
+    counts = (
+        stats.tasks_total,
+        stats.tasks_decompose,
+        stats.tasks_emit_lut,
+        stats.tasks_shannon,
+        stats.tasks_compose,
+    )
+    assert counts == PINNED_COUNTS[name]
+    if executor == "process" and name == "misex1":
+        # misex1 maps several groups, so every step runs in a worker.
+        assert stats.tasks_offloaded == stats.tasks_total
+
+
+def test_traced_span_paths_are_pinned():
+    # The decompose-vector span covers the policy call only, so the spans
+    # of a vector's steps sit side by side under ``map``; benchmark files
+    # and docs cite these paths.
+    tracer = Tracer()
+    with observe.tracing(tracer):
+        synthesize(get_circuit("misex1").build(), FlowConfig(k=5))
+    assert set(flatten_phases(build_report(tracer))) == {
+        "collapse",
+        "map",
+        "map/compose",
+        "map/decompose-vector",
+        "map/decompose-vector/choose_bound_set",
+        "map/decompose-vector/imodec",
+        "map/emit-lut",
+        "map/shannon-split",
+        "partition_outputs",
+        "partition_outputs/choose_bound_set",
+        "partition_outputs/imodec",
+    }
