@@ -2,12 +2,13 @@
 
 One cache entry holds the mapped sub-network of one output group -- the
 same portable :class:`repro.engine.worker.GroupResult` shape that crosses
-the worker process boundary, serialized as a checkpoint entry is
-(:func:`repro.engine.checkpoint.result_to_json`).  It is keyed by the
-group's :func:`repro.engine.checkpoint.payload_fingerprint`, which covers
-the exported DAG and the frontier signal names: a hit is the very
-subproblem that produced the entry, so replaying it emits the bytes a
-fresh decomposition would.
+the worker process boundary, serialized by
+:func:`repro.engine.worker.result_to_json`.  It is keyed by the group's
+:func:`repro.engine.worker.payload_fingerprint`, which covers the
+exported DAG and the frontier signal names: a hit is the very subproblem
+that produced the entry, so replaying it emits the bytes a fresh
+decomposition would.  That is also how an interrupted run resumes: run
+again with the same cache, and every group stored before the cut hits.
 
 Soundness never rests on the fingerprint: the database is input from
 outside the program, so every hit is **verified** -- the stored
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING
 from repro import observe
 from repro.bdd.manager import FALSE, TRUE
 from repro.cache.store import ResultStore, open_store
-from repro.engine.checkpoint import (
+from repro.engine.worker import (
     config_digest,
     result_from_json,
     result_to_json,
@@ -43,9 +44,7 @@ COUNTERS = ("cache_hits", "cache_misses", "cache_stores", "cache_rejects")
 class GroupCache:
     """Consults and feeds the persistent store for one engine's groups."""
 
-    def __init__(
-        self, store: ResultStore, digest: str, target: str = ""
-    ) -> None:
+    def __init__(self, store: ResultStore, digest: str, target: str) -> None:
         """Cache against ``store``, namespaced by ``digest`` and ``target``."""
         self.store = store
         self.digest = digest
@@ -55,11 +54,7 @@ class GroupCache:
     @classmethod
     def open(cls, path: str, config: "FlowConfig") -> "GroupCache":
         """Open the cache at ``path`` for runs under ``config``."""
-        return cls(
-            open_store(path),
-            config_digest(config),
-            getattr(config, "target", "") or "",
-        )
+        return cls(open_store(path), config_digest(config), config.target)
 
     def counters(self) -> dict[str, int]:
         """Snapshot of the hit/miss/store/reject counters."""

@@ -10,6 +10,9 @@ One database file holds one ``results`` table mapping group keys
 - **atomic upsert**: ``INSERT OR REPLACE`` in autocommit mode -- sqlite
   serializes writers, and WAL journaling keeps concurrent readers (other
   synthesis runs warming from the same file) unblocked.
+- **durable commits**: ``PRAGMA synchronous=FULL`` syncs the WAL on every
+  commit, so a stored group survives a crash or power loss -- the store
+  is what an interrupted run resumes from.
 - **corruption degrades, never crashes**: any ``sqlite3.Error`` -- a
   truncated file, garbage bytes, a locked database -- turns into cache
   misses with a single stderr warning.  A cache must never make a run
@@ -98,7 +101,7 @@ class ResultStore:
             )
             self._conn.isolation_level = None  # autocommit: atomic upserts
             self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute("PRAGMA synchronous=FULL")
             self._conn.executescript(_SCHEMA)
             self._check_schema()
             if self._conn is not None:  # _check_schema may have disabled us

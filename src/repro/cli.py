@@ -46,13 +46,14 @@ prints the span tree to stderr, and ``--budget-seconds`` /
 exit code 3 instead of running unbounded.
 
 Reliability (every executor; see ``docs/RELIABILITY.md``):
-``--task-timeout`` and ``--task-retries`` bound and retry failing groups,
-``--inject-faults PLAN`` arms the deterministic fault harness,
-``--checkpoint FILE`` persists completed groups and ``--resume FILE``
-replays them for a byte-identical restart (``--task-timeout`` cannot
-pre-empt a group the serial executor maps in-process).  ``batch``
-isolates circuit failures: a crashing circuit is reported (exit code 1)
-while the others still map.
+``--task-timeout`` and ``--task-retries`` bound and retry failing groups
+(``--task-timeout`` cannot pre-empt a group the serial executor maps
+in-process), and ``--inject-faults PLAN`` arms the deterministic fault
+harness.  ``--cache-db FILE`` stores every mapped group as soon as it is
+merged, so an interrupted ``synth`` or ``batch`` resumes by running it
+again with the same ``--cache-db``: the finished groups replay, and the
+output is byte-identical.  ``batch`` isolates circuit failures: a
+crashing circuit is reported (exit code 1) while the others still map.
 """
 
 from __future__ import annotations
@@ -70,12 +71,7 @@ from repro import observe
 from repro.algebraic.rugged import rugged
 from repro.engine import parse_fault_plan, synthesize_batch
 from repro.engine.executors import request_cancel, reset_cancel, shutdown_pool
-from repro.errors import (
-    BudgetExceeded,
-    CheckpointError,
-    ReproError,
-    RunInterrupted,
-)
+from repro.errors import BudgetExceeded, ReproError, RunInterrupted
 from repro.io import parse_network
 from repro.io.blif import write_blif
 from repro.mapping.flow import FlowConfig, synthesize, verify_flow, verify_flow_sim
@@ -107,9 +103,9 @@ def _signals_cancel_drain():
 
     The first signal requests cancellation
     (:func:`repro.engine.executors.request_cancel`): the executors unwind
-    with :class:`RunInterrupted` at their next safe boundary, flushing any
-    configured checkpoint on the way out, and :func:`main` maps that to
-    exit code 130.  A second signal force-quits via
+    with :class:`RunInterrupted` at their next safe boundary, every group
+    merged so far already stored in any configured result cache, and
+    :func:`main` maps that to exit code 130.  A second signal force-quits via
     :class:`KeyboardInterrupt`.  Outside the main thread (server runner
     threads, embedders) signals cannot be installed; the context is then
     a no-op and the caller's own drain hooks apply.
@@ -126,7 +122,7 @@ def _signals_cancel_drain():
             raise KeyboardInterrupt
         request_cancel()
         print(
-            "repro: interrupt received; draining and checkpointing "
+            "repro: interrupt received; draining "
             "(repeat to force quit)",
             file=sys.stderr,
         )
@@ -151,8 +147,6 @@ def _failure_kind(exc: ReproError) -> str:
         return "budget"
     if isinstance(exc, RunInterrupted):
         return "interrupted"
-    if isinstance(exc, CheckpointError):
-        return "checkpoint"
     return "error"
 
 
@@ -177,10 +171,6 @@ def _make_config(args: argparse.Namespace) -> FlowConfig:
     fault_plan = (
         parse_fault_plan(args.inject_faults) if args.inject_faults else None
     )
-    checkpoint = getattr(args, "checkpoint", None)
-    resume = getattr(args, "resume", None)
-    if (checkpoint or resume) and getattr(args, "structural", False):
-        raise ValueError("--checkpoint/--resume do not apply to --structural")
     return FlowConfig(
         k=args.k,
         target=args.target,
@@ -189,14 +179,11 @@ def _make_config(args: argparse.Namespace) -> FlowConfig:
         strict=args.strict,
         jobs=args.jobs,
         executor=args.executor,
-        broker=getattr(args, "broker", None),
+        broker=args.broker,
         task_timeout=args.task_timeout,
         task_retries=args.task_retries,
         fault_plan=fault_plan,
-        checkpoint_path=checkpoint,
-        checkpoint_every=getattr(args, "checkpoint_every", 1),
-        resume_from=resume,
-        cache_db=getattr(args, "cache_db", None),
+        cache_db=args.cache_db,
     )
 
 
@@ -546,8 +533,10 @@ def _add_flow_options(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--cache-db", metavar="FILE",
                      help="persistent result cache: an sqlite database of "
                           "group results keyed by payload fingerprint, "
-                          "consulted before decomposing and fed after (works "
-                          "with every executor; see docs/CACHING.md)")
+                          "consulted before decomposing and fed after each "
+                          "merge, so re-running an interrupted run with the "
+                          "same FILE resumes it (works with every executor; "
+                          "see docs/CACHING.md)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -569,15 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="partial-collapse flow (for circuits too large to collapse)")
     synth.add_argument("--stats", action="store_true",
                        help="print decomposition statistics (m, p)")
-    synth.add_argument("--checkpoint", metavar="FILE",
-                       help="write completed groups to FILE (resume an "
-                            "interrupted run with --resume FILE)")
-    synth.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
-                       help="flush the checkpoint every N merged groups "
-                            "(default 1)")
-    synth.add_argument("--resume", metavar="FILE",
-                       help="replay the completed groups of a checkpoint file "
-                            "(same circuit and flow knobs; byte-identical BLIF)")
     synth.add_argument("-o", "--output", help="write the mapped netlist as BLIF")
     synth.set_defaults(func=cmd_synth)
 
@@ -607,8 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission-queue bound; further submissions "
                             "are rejected with HTTP 503 (default 16)")
     serve.add_argument("--state-dir", metavar="DIR",
-                       help="persist job specs and checkpoints under DIR "
-                            "so a restarted server resumes in-flight jobs")
+                       help="persist job specs under DIR, and keep the "
+                            "result cache at DIR/results.db unless "
+                            "--cache-db names one, so a restarted server "
+                            "resumes in-flight jobs")
     serve.add_argument("--cache-db", metavar="FILE",
                        help="shared persistent result cache "
                             "(see docs/CACHING.md)")
@@ -657,8 +639,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except RunInterrupted as exc:
-        # Graceful interrupt: checkpoints were flushed on the way out;
-        # force the shared pool down so orphaned workers don't linger.
+        # Graceful interrupt: merged groups are already in the result
+        # cache; force the shared pool down so orphaned workers don't
+        # linger.
         shutdown_pool(force=True)
         print(f"repro: interrupted: {exc}", file=sys.stderr)
         return 130
@@ -666,9 +649,6 @@ def main(argv: list[str] | None = None) -> int:
         shutdown_pool(force=True)
         print("repro: interrupted", file=sys.stderr)
         return 130
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

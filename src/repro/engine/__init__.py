@@ -27,14 +27,15 @@ cofactor subproblems.  This package runs it:
   out across *hosts* through a stdlib HTTP broker (``repro broker`` /
   ``repro worker``), with lease-based dead-host detection feeding the
   same retry/degrade ladder (see ``docs/DISTRIBUTED.md``).
+- :mod:`repro.engine.worker` -- one group as a portable payload and
+  result, the unit a pool or remote worker maps and the result cache
+  stores; a re-run with the same cache resumes an interrupted run.
 - :mod:`repro.engine.batch` -- many networks through one shared pool.
 - :mod:`repro.engine.faults` -- deterministic seeded fault injection for
   exercising the executor's recovery paths (``--inject-faults``).
-- :mod:`repro.engine.checkpoint` -- checkpoint/resume of completed groups
-  (``--checkpoint`` / ``--resume``).
 
 See ``docs/ARCHITECTURE.md`` for the layering and the dataflow diagram,
-``docs/RELIABILITY.md`` for retry, degradation, fault-plan and checkpoint
+``docs/RELIABILITY.md`` for retry, degradation, fault-plan and resume
 semantics.
 """
 
@@ -50,12 +51,6 @@ from repro.engine.policies import (
 )
 from repro.engine.emitter import EmitContext, VectorEmitter
 from repro.engine.batch import synthesize_batch
-from repro.engine.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    Checkpointer,
-    ResumeState,
-    load_checkpoint,
-)
 from repro.engine.faults import FaultPlan, FaultSpec, parse_fault_plan
 from repro.engine.executors import (
     EXECUTORS,
@@ -66,8 +61,6 @@ from repro.engine.executors import (
 )
 
 __all__ = [
-    "CHECKPOINT_SCHEMA",
-    "Checkpointer",
     "EXECUTORS",
     "DecomposePolicy",
     "EmitContext",
@@ -80,11 +73,9 @@ __all__ = [
     "POLICIES",
     "PolicyDecision",
     "ProcessExecutor",
-    "ResumeState",
     "SerialExecutor",
     "TaskCounts",
     "VectorEmitter",
-    "load_checkpoint",
     "make_executor",
     "make_policy",
     "parse_fault_plan",

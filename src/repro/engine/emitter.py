@@ -41,8 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only (flow imports engine)
 # Process-wide cancellation flag.  Signal handlers (CLI) and the server's
 # drain set it from another context; the recursion checks it at every
 # vector step and the executors at every future wait, and both unwind with
-# RunInterrupted, flushing checkpoints and cancelling outstanding futures
-# on the way out.
+# RunInterrupted, cancelling outstanding futures on the way out.
 _CANCEL = threading.Event()
 
 
@@ -50,9 +49,9 @@ def request_cancel() -> None:
     """Ask every in-flight drain to stop at its next safe boundary.
 
     Safe to call from signal handlers and other threads.  The drains
-    raise :class:`repro.errors.RunInterrupted` once they notice; configured
-    checkpoints are flushed before the exception escapes, so an
-    interrupted run can be resumed to byte-identical output.
+    raise :class:`repro.errors.RunInterrupted` once they notice; every
+    group merged before then is already in any configured result cache,
+    so a re-run with that cache resumes to byte-identical output.
     """
     _CANCEL.set()
 
@@ -153,7 +152,9 @@ class VectorEmitter:
         """Map ``f_nodes`` to their LUT-network signals, in order.
 
         ``cache`` shares emitted LUTs within one group; ``depth`` is the
-        recursion level (1 for a group), kept as ``queue_depth_max``.
+        recursion level (1 for a group).  The deepest level any group
+        reaches is the run's ``queue_depth_max``, under every executor: a
+        group mapped elsewhere brings its own back (``GroupResult.depth``).
         """
         if cancel_requested():
             raise RunInterrupted("group mapping cancelled (signal or server drain)")

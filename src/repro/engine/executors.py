@@ -6,13 +6,13 @@ runs.  :class:`ProcessExecutor` owns the one drain:
 
 - :meth:`ProcessExecutor.submit_groups` exports each group as a portable
   subproblem (:class:`repro.engine.worker.GroupPayload`), replays it from
-  a resume checkpoint or the persistent result cache when it can, and
-  otherwise creates one future per group (one per candidate policy under
-  a ``race:`` policy) through the ``_pool_submit`` seam.
+  the persistent result cache when it can, and otherwise creates one
+  future per group (one per candidate policy under a ``race:`` policy)
+  through the ``_pool_submit`` seam.
 - :meth:`ProcessExecutor.collect_groups` waits for each future in order
   with one retry ladder, merges the mapped sub-network into the parent
   network (renaming worker-local signals through its ``fresh_name``
-  counter), checkpoints it and feeds the result cache.
+  counter) and stores it in the result cache.
 
 Three executors sit behind the seam:
 
@@ -23,10 +23,10 @@ Three executors sit behind the seam:
 - ``serial`` (:class:`SerialExecutor`) returns an in-process future that
   runs ``run_group`` in the parent when the collect loop first asks for
   it.  A serial run that keeps no portable results (no result cache,
-  race, checkpoint, resume file or fault plan) skips the export and
-  merge: it maps every group directly on the engine's own context with
-  :func:`drain_groups` -- the drain ``run_group`` performs -- so the BDD
-  statistics and budgets see the decomposition.
+  race or fault plan) skips the export and merge: it maps every group
+  directly on the engine's own context with :func:`drain_groups` -- the
+  drain ``run_group`` performs -- so the BDD statistics and budgets see
+  the decomposition.
 - ``remote`` (:class:`repro.engine.remote.executor.RemoteExecutor`)
   submits to a task broker.
 
@@ -38,10 +38,10 @@ pool after a crash; a group that keeps failing degrades to the in-parent
 drain, which still yields the identical network because emission order
 is preserved.  Every failure is recorded as a structured record via
 :func:`repro.observe.failure` and counted in
-:class:`repro.engine.tasks.EngineStats`.  With ``FlowConfig.checkpoint_path``
-set, merged group results are also serialized to a versioned checkpoint
-file (:mod:`repro.engine.checkpoint`) so an interrupted run can resume
-with ``FlowConfig.resume_from`` and produce byte-identical output.
+:class:`repro.engine.tasks.EngineStats`.  With ``FlowConfig.cache_db``
+set, every merged group is committed to the result cache before the next
+one is collected, so an interrupted run resumes by running again with the
+same cache: the finished groups replay, and the output is byte-identical.
 
 The :class:`Engine` facade bundles context + policy + counters + executor
 behind the two calls the flows need: ``run_groups`` and ``stats``.
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import atexit
 import signal
-import sys
 import threading
 import time
 from concurrent.futures import (
@@ -68,13 +67,6 @@ from repro import observe
 from repro.bdd.manager import BDD
 from repro.bdd.transfer import export_dag
 from repro.boolfunc.sop import Cube, Sop
-from repro.engine.checkpoint import (
-    Checkpointer,
-    ResumeState,
-    config_digest,
-    load_checkpoint,
-    payload_fingerprint,
-)
 # The cancel flag lives with the recursion that polls it; the CLI, the
 # server and the batch layer reach it through this module.
 from repro.engine.emitter import (  # noqa: F401 - request/reset re-exported
@@ -87,7 +79,12 @@ from repro.engine.emitter import (  # noqa: F401 - request/reset re-exported
 from repro.engine.faults import NO_FAULTS, ResolvedFaults, perform_fault
 from repro.engine.policies import make_policy, parse_policy_spec
 from repro.engine.tasks import EngineStats, TaskCounts
-from repro.engine.worker import GroupPayload, GroupResult, run_group
+from repro.engine.worker import (
+    GroupPayload,
+    GroupResult,
+    payload_fingerprint,
+    run_group,
+)
 from repro.errors import (
     BudgetExceeded,
     FaultInjected,
@@ -160,18 +157,14 @@ class Submission:
         f_nodes: the group's BDD roots in the parent manager (kept so the
             degraded serial fallback can re-run the group in-parent).
         payload: the exported subproblem (resubmitted on retry).
-        fingerprint: identity of the payload, the key of both resume
-            checkpoints and the result cache (None when neither is
-            configured and the run writes no checkpoint).
+        fingerprint: identity of the payload, the result cache's key
+            (None when no cache is open).
         future: the pending pool future (None for replayed groups).
-        cached: result replayed from a resume checkpoint or the result
-            cache, if any.
+        cached: result replayed from the result cache, if any.
         attempt: current retry attempt (0 = first submission).
         failures: structured records of every failed attempt so far.
         degraded_signals: output signals produced by the in-parent serial
             fallback (None unless the group degraded).
-        cache_hit: True when ``cached`` came from the result cache
-            rather than a resume checkpoint.
         entries: candidate submissions of a policy-portfolio race (None
             when the group is not raced; exactly one wins at collect
             time).
@@ -186,7 +179,6 @@ class Submission:
     attempt: int = 0
     failures: list[dict] = field(default_factory=list)
     degraded_signals: list[str] | None = None
-    cache_hit: bool = False
     entries: list[RaceEntry] | None = None
 
 
@@ -207,13 +199,10 @@ class ProcessExecutor:
             "worker_crashes": 0,
             "groups_degraded": 0,
             "faults_injected": 0,
-            "checkpoint_saved": 0,
-            "checkpoint_replayed": 0,
-            "checkpoint_stale_entries": 0,
         }
 
     def reliability(self) -> dict[str, int]:
-        """Snapshot of the retry/timeout/degradation/checkpoint counters."""
+        """Snapshot of the retry/timeout/degradation/fault counters."""
         return dict(self._counts)
 
     # ------------------------------------------------------------------
@@ -223,7 +212,7 @@ class ProcessExecutor:
     def run_groups(
         self, engine: "Engine", groups: list[list[int]]
     ) -> list[list[str]]:
-        """Map every group, with retries, degradation and checkpointing.
+        """Map every group, with retries, degradation and the result cache.
 
         A run that needs no portable results drains directly on the
         engine's context instead (see :meth:`_portable`).
@@ -232,15 +221,10 @@ class ProcessExecutor:
             return drain_groups(engine.emitter, groups)
         config = engine.config
         faults = self._resolve_faults(config, len(groups))
-        resume = self._load_resume(config)
-        ckpt = self._make_checkpointer(config)
         with observe.span("engine-dispatch"):
-            subs = self.submit_groups(
-                engine, groups, faults=faults, resume=resume,
-                fingerprints=ckpt is not None,
-            )
+            subs = self.submit_groups(engine, groups, faults=faults)
         with observe.span("engine-collect"):
-            return self.collect_groups(engine, subs, faults=faults, ckpt=ckpt)
+            return self.collect_groups(engine, subs, faults=faults)
 
     def _portable(self, engine: "Engine", groups: list[list[int]]) -> bool:
         """Whether the groups go through submit/collect as portable results.
@@ -255,16 +239,12 @@ class ProcessExecutor:
     def keeps_results(engine: "Engine") -> bool:
         """Whether the run works on portable group results, however many.
 
-        A result cache, a ``race:`` policy, a checkpoint or resume file and
-        a fault plan all do.
+        A result cache, a ``race:`` policy and a fault plan all do.
         """
-        config = engine.config
         return (
             engine.racing
             or engine.group_cache is not None
-            or config.checkpoint_path is not None
-            or config.resume_from is not None
-            or config.fault_plan is not None
+            or engine.config.fault_plan is not None
         )
 
     @staticmethod
@@ -274,73 +254,38 @@ class ProcessExecutor:
             return NO_FAULTS
         return config.fault_plan.resolve(num_groups)
 
-    @staticmethod
-    def _load_resume(config: "FlowConfig") -> ResumeState | None:
-        """Load the resume checkpoint named by the configuration, if any."""
-        if config.resume_from is None:
-            return None
-        state = load_checkpoint(config.resume_from, config)
-        observe.add("resume_groups_available", len(state))
-        return state
-
-    @staticmethod
-    def _make_checkpointer(config: "FlowConfig") -> Checkpointer | None:
-        """Build the checkpoint writer named by the configuration, if any."""
-        if config.checkpoint_path is None:
-            return None
-        return Checkpointer(
-            config.checkpoint_path,
-            config_digest(config),
-            every=config.checkpoint_every,
-        )
-
     def submit_groups(
         self,
         engine: "Engine",
         groups: list[list[int]],
         first_ordinal: int = 0,
         faults: ResolvedFaults = NO_FAULTS,
-        resume: ResumeState | None = None,
-        fingerprints: bool = False,
     ) -> list[Submission]:
         """Queue every group on the shared pool; returns submissions in order.
 
         Split from :meth:`collect_groups` so batch mode can enqueue the
         groups of *many* networks before collecting any of them
         (``first_ordinal`` offsets the batch-wide submission ordinals).
-        Groups found in ``resume`` or in the persistent result cache are
-        not submitted at all -- their stored result replays at collect
-        time.  Both are keyed by the payload fingerprint; resume wins over
-        the cache, because its entries also match the group's position.
+        Groups found in the persistent result cache, keyed by the payload
+        fingerprint, are not submitted at all -- their stored result
+        replays at collect time.
         """
         ctx = engine.context
+        cache = engine.group_cache
         subs: list[Submission] = []
         for i, f_nodes in enumerate(groups):
-            ordinal = first_ordinal + i
             payload = self._payload(ctx, f_nodes)
-            fingerprint = (
-                payload_fingerprint(payload)
-                if fingerprints
-                or resume is not None
-                or engine.group_cache is not None
-                else None
-            )
-            sub = Submission(ordinal, list(f_nodes), payload, fingerprint)
-            if resume is not None:
-                sub.cached = resume.lookup(ordinal, fingerprint)
-            if sub.cached is None and engine.group_cache is not None:
+            sub = Submission(first_ordinal + i, list(f_nodes), payload)
+            if cache is not None:
+                sub.fingerprint = payload_fingerprint(payload)
                 with observe.span("cache-lookup"):
-                    sub.cached = engine.group_cache.lookup(
-                        ctx, f_nodes, fingerprint
-                    )
-                sub.cache_hit = sub.cached is not None
+                    sub.cached = cache.lookup(ctx, f_nodes, sub.fingerprint)
             if sub.cached is None:
                 if engine.racing:
                     self._submit_race(engine, sub)
                 else:
                     sub.future = self._pool_submit(self._armed(sub, faults))
             subs.append(sub)
-        self._note_stale(resume)
         return subs
 
     def _submit_race(self, engine: "Engine", sub: Submission) -> None:
@@ -356,21 +301,6 @@ class ProcessExecutor:
             entry.future = self._pool_submit(entry.payload)
             engine.race_counts["race_candidates"] += 1
             sub.entries.append(entry)
-
-    def _note_stale(self, resume: ResumeState | None) -> None:
-        """Surface newly-discovered stale resume entries (counter + stderr)."""
-        if resume is None:
-            return
-        new = resume.stale - self._counts["checkpoint_stale_entries"]
-        if new > 0:
-            self._counts["checkpoint_stale_entries"] = resume.stale
-            observe.add("checkpoint_stale_entries", new)
-            print(
-                f"repro: {new} stale checkpoint entr"
-                f"{'y' if new == 1 else 'ies'} skipped (group inputs "
-                "changed since the checkpoint); recomputing",
-                file=sys.stderr,
-            )
 
     def _pool_submit(self, payload: GroupPayload):
         """Submit on the shared pool, rebuilding it once if it is broken.
@@ -394,27 +324,22 @@ class ProcessExecutor:
         engine: "Engine",
         subs: list[Submission],
         faults: ResolvedFaults = NO_FAULTS,
-        ckpt: Checkpointer | None = None,
     ) -> list[list[str]]:
         """Re-import group results sequentially, in submission order.
 
-        Failed submissions are retried (see :meth:`_await`); merged
-        results are checkpointed; parent-side ``abort`` faults fire after
-        the checkpoint flush so resume paths are testable.
+        Failed submissions are retried (see :meth:`_await`); each merged
+        result is stored in the result cache at once, and a parent-side
+        ``abort`` fault fires only after that, so a re-run with the same
+        cache replays every group merged before the cut.
         """
         results: list[list[str]] = []
         try:
-            for remaining, sub in enumerate(subs):
+            for sub in subs:
                 if cancel_requested():
                     raise RunInterrupted(
                         "process drain cancelled (signal or server drain)"
                     )
-                engine.counts.note_depth(len(subs) - remaining)
                 if sub.cached is not None:
-                    if not sub.cache_hit:
-                        self._counts["checkpoint_replayed"] += 1
-                        observe.add("checkpoint_groups_replayed")
-                    # (result-cache hits were already counted at lookup)
                     result: GroupResult | None = sub.cached
                 elif sub.entries is not None:
                     result = self._await_race(engine, sub)
@@ -425,9 +350,6 @@ class ProcessExecutor:
                         engine, result,
                         offloaded=self.offloads and sub.cached is None,
                     )
-                    if ckpt is not None and sub.fingerprint is not None:
-                        ckpt.record(sub.ordinal, sub.fingerprint, result)
-                        self._counts["checkpoint_saved"] += 1
                     if engine.group_cache is not None and sub.cached is None:
                         with observe.span("cache-record"):
                             engine.group_cache.record(sub.fingerprint, result)
@@ -438,17 +360,12 @@ class ProcessExecutor:
                 abort = faults.abort_after(sub.ordinal)
                 if abort is not None:
                     self._counts["faults_injected"] += 1
-                    if ckpt is not None:
-                        ckpt.close()
                     perform_fault(abort, in_worker=False)
         except RunInterrupted:
             # Outstanding futures must not keep pool workers (and the
             # interpreter's exit machinery) busy after the run is dead.
             self._cancel_outstanding(engine, subs)
             raise
-        finally:
-            if ckpt is not None:
-                ckpt.close()
         return results
 
     @staticmethod
@@ -531,8 +448,8 @@ class ProcessExecutor:
                 )
             except (RunInterrupted, BudgetExceeded):
                 # Not a task failure: the whole run is being torn down
-                # (collect_groups cancels the other futures and flushes
-                # the checkpoint on the way out).
+                # (collect_groups cancels the other futures on the way
+                # out).
                 raise
             except FutureTimeoutError:
                 kind = "timeout"
@@ -731,16 +648,16 @@ class _InProcessFuture:
 class SerialExecutor(ProcessExecutor):
     """The process executor's drain with every group mapped in the parent.
 
-    A run that keeps portable results (a result cache, a ``race:`` policy,
-    a checkpoint or resume file, or a fault plan) goes through the
-    inherited :meth:`submit_groups`/:meth:`collect_groups`, so it gets
-    retries, checkpoint/resume and fault injection from the shared code;
-    each group runs when the collect loop reaches it
-    (:class:`_InProcessFuture`), so a checkpoint is flushed group by
-    group.  Every other run maps each group directly on the engine's
-    own context with :func:`drain_groups` -- the drain ``run_group``
-    performs, without the export and merge around it -- so the mapped
-    network (LUT names included) is the same under every executor.
+    A run that keeps portable results (a result cache, a ``race:`` policy
+    or a fault plan) goes through the inherited
+    :meth:`submit_groups`/:meth:`collect_groups`, so it gets retries, the
+    result cache and fault injection from the shared code; each group
+    runs when the collect loop reaches it (:class:`_InProcessFuture`), so
+    the cache is filled group by group.  Every other run maps each group
+    directly on the engine's own context with :func:`drain_groups` -- the
+    drain ``run_group`` performs, without the export and merge around it
+    -- so the mapped network (LUT names included) is the same under every
+    executor.
     """
 
     name = "serial"
@@ -763,8 +680,9 @@ def merge_group_result(
     Worker-local node names are renamed through the parent network's
     ``fresh_name`` counter in emission order, so the final names match a
     serial run; constants dedup through the shared constant cache.
-    The group's step counts fold into the engine's counters, as offloaded
-    work when ``offloaded`` (the group ran in a pool or remote worker).
+    The group's step counts and recursion depth fold into the engine's
+    counters, the counts as offloaded work when ``offloaded`` (the group
+    ran in a pool or remote worker).
     """
     ctx = engine.context
     rename: dict[str, str] = {}
@@ -784,6 +702,7 @@ def merge_group_result(
         observe.add("shannon_splits" if prefix == "M" else "luts_emitted")
     ctx.records.extend(result.records)
     engine.counts.merge_counts(result.kind_counts, offloaded=offloaded)
+    engine.counts.note_depth(result.depth)
     return [rename.get(sig, sig) for sig in result.outputs]
 
 
@@ -958,8 +877,8 @@ class Engine:
         """Report-ready counters for the run's ``engine`` section.
 
         Folds the executor's reliability counters (retries, timeouts,
-        degradations, checkpoint activity), the result-cache counters and
-        the portfolio-race counters into the step counts.
+        degradations, faults), the result-cache counters and the
+        portfolio-race counters into the step counts.
         """
         stats = self.counts.stats(self.executor.name, self.executor.workers)
         stats = dc_replace(stats, **self.executor.reliability())

@@ -12,11 +12,13 @@ names exactly which group submissions fail and how:
 - ``delay`` -- the worker sleeps before mapping its group: exercises the
   per-task wall-clock timeout.
 - ``abort`` -- the *parent* raises right after the group's result was
-  merged (and checkpointed): simulates the coordinator dying mid-run so
-  checkpoint/resume is testable.
+  merged (and stored in any result cache): simulates the coordinator
+  dying mid-run so resuming from the cache is testable.
 
 Faults address groups by their **submission ordinal** -- the 0-based
-position in dispatch order, counted across all circuits of a batch -- and
+position in dispatch order, counted across all circuits of a process
+batch (a serial or remote batch runs circuit after circuit, each counting
+from 0) -- and
 fire on specific retry *attempts* (default: only the first, so a retried
 task succeeds; ``all`` makes a failure permanent).  A plan can also ask
 for ``kills=N``/``drops=N``/``delays=N`` faults on seeded-random ordinals,

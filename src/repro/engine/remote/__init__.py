@@ -21,9 +21,9 @@ that value across *hosts* instead of processes:
 - :mod:`repro.engine.remote.executor` -- :class:`RemoteExecutor`, the
   ``--executor remote`` seam.  It subclasses the process executor and
   overrides only future creation, so retries, degrade-to-serial at the
-  merge position, checkpoint/resume, racing, and the deterministic merge
-  order are inherited unchanged -- the mapped BLIF is byte-identical to
-  a serial run.
+  merge position, the result cache (and with it resume), racing, and the
+  deterministic merge order are inherited unchanged -- the mapped BLIF
+  is byte-identical to a serial run.
 
 See ``docs/DISTRIBUTED.md`` for topology, wire formats and lease
 semantics.

@@ -30,8 +30,8 @@ Endpoints (all JSON; schemas in :mod:`repro.engine.remote.wire`):
 
 A malformed body or envelope answers 400.  The board is memory-only
 and caches nothing: the coordinator deletes tasks as it collects them,
-and its own ``--checkpoint`` and ``--cache-db`` are the durability and
-the result cache, exactly as for the process executor.
+and its own ``--cache-db`` is the result cache and the resume state,
+exactly as for the process executor.
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ class TaskBroker(JsonService):
         """Wake every long-poll into a ``draining`` answer.
 
         New submissions already get 503; pending tasks are dropped --
-        the coordinator's retry ladder and checkpoints own durability.
+        the coordinator's retry ladder and result cache own durability.
         """
         with self.board.cond:
             self.board.cond.notify_all()

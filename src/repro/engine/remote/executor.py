@@ -6,9 +6,10 @@ futures with broker-backed :class:`_RemoteFuture` objects that speak the
 ``concurrent.futures.Future`` subset the drain uses (``result(timeout)``
 and ``cancel()``).  Everything above the seam is inherited verbatim:
 the retry ladder with exponential backoff, per-attempt fault arming,
-degrade-to-serial at the merge position, checkpoint/resume replay,
-policy-portfolio racing, and the sequential in-order merge that makes
-the mapped BLIF byte-identical to a serial run.
+degrade-to-serial at the merge position, result-cache replay (which is
+also how an interrupted run resumes), policy-portfolio racing, and the
+sequential in-order merge that makes the mapped BLIF byte-identical to a
+serial run.
 
 Dead-host mapping: a worker that dies mid-group simply never posts its
 result.  The broker's lease expires and requeues the task once (fault
@@ -183,8 +184,8 @@ class RemoteExecutor(ProcessExecutor):
         and raises :class:`BrokerUnavailable` outright when it does not,
         so an unreachable broker fails the run fast instead of timing out
         once per group.  A run that submits nothing -- one group drained
-        directly, or every group answered by the result cache or a resume
-        file -- never contacts the broker.
+        directly, or every group answered by the result cache -- never
+        contacts the broker.
 
         The lease mirrors ``task_timeout`` (the default when it is unset
         or not finite -- the broker refuses an endless lease) so

@@ -13,16 +13,15 @@ Two envelopes exist:
   the flow configuration, and an optional armed fault -- plus the lease
   the coordinator grants (``lease_seconds``) and the requeue budget;
 - a **result** (``repro-remote-result/1``) carries the worker's
-  :class:`repro.engine.worker.GroupResult` back (reusing the checkpoint
-  layer's portable JSON form), or a typed error.
+  :class:`repro.engine.worker.GroupResult` back (in the portable JSON
+  form the result cache stores), or a typed error.
 
 The configuration travels with every task because workers are
 stateless: any worker can serve any coordinator.  Transport-only knobs
-(``jobs``, ``executor``, ``broker``, checkpoint/cache paths, the fault
-plan) are forced to their worker-local values on arrival -- the same
-normalization :func:`repro.engine.worker.run_group` applies -- so a
-worker-side :func:`repro.engine.checkpoint.config_digest` matches the
-coordinator's.
+(``jobs``, ``executor``, ``broker``, the cache path, the fault plan) are
+forced to their worker-local values on arrival -- the same normalization
+:func:`repro.engine.worker.run_group` applies -- so a worker-side
+:func:`repro.engine.worker.config_digest` matches the coordinator's.
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ from dataclasses import fields
 from typing import TYPE_CHECKING
 
 from repro.bdd.transfer import PortableDag
-from repro.engine.checkpoint import result_from_json, result_to_json
 from repro.engine.faults import FAULT_KINDS, FaultSpec
-from repro.engine.worker import GroupPayload
+from repro.engine.worker import GroupPayload, result_from_json, result_to_json
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.engine.worker import GroupResult
@@ -51,14 +49,12 @@ _CONFIG_SKIP = frozenset({"fault_plan"})
 
 #: Worker-local values forced onto an arriving configuration.  Mirrors
 #: the normalization in :func:`repro.engine.worker.run_group`; all are
-#: non-semantic (see ``checkpoint._NON_SEMANTIC_FIELDS``), so the digest
-#: of the rebuilt config equals the coordinator's.
+#: non-semantic (see ``worker._NON_SEMANTIC_FIELDS``), so the digest of
+#: the rebuilt config equals the coordinator's.
 _CONFIG_OVERRIDES = {
     "jobs": 1,
     "executor": "serial",
     "broker": None,
-    "checkpoint_path": None,
-    "resume_from": None,
     "cache_db": None,
 }
 
@@ -296,7 +292,7 @@ def result_envelope(
     error: dict | None = None,
 ) -> dict:
     """Build one ``repro-remote-result/1`` body (the ``result`` in the
-    checkpoint layer's portable form)."""
+    portable form of :func:`repro.engine.worker.result_to_json`)."""
     return {
         "schema": RESULT_SCHEMA,
         "id": task_id,

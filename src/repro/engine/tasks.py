@@ -40,9 +40,9 @@ class EngineStats:
         tasks_total: steps run, all kinds.
         tasks_decompose / tasks_emit_lut / tasks_shannon / tasks_compose:
             per-kind step counts.
-        queue_depth_max: the deepest recursion within one group, or the
-            most groups outstanding in the collect loop, whichever is
-            larger.
+        queue_depth_max: the deepest recursion level reached within any
+            one group (1 for a group that needed no smaller vector),
+            wherever the group was mapped or replayed from.
         tasks_offloaded: steps run inside worker processes.
         tasks_retried: group submissions retried after a failure.
         task_timeouts: group submissions abandoned for exceeding
@@ -51,13 +51,9 @@ class EngineStats:
         groups_degraded: groups that fell back to the in-parent serial
             path after exhausting their retry budget.
         faults_injected: faults fired by the fault-injection harness.
-        checkpoint_saved: group results written to the checkpoint file.
-        checkpoint_replayed: group results replayed from ``--resume``.
-        checkpoint_stale_entries: resume entries skipped because their
-            payload fingerprint no longer matched (inputs changed).
         cache_hits: groups replayed from the persistent result cache
             (``FlowConfig.cache_db``), verified against the requested
-            functions.
+            functions -- also how a re-run resumes an interrupted one.
         cache_misses: groups looked up in the result cache and computed
             fresh (includes rejected hits).
         cache_stores: freshly computed group results written to the cache.
@@ -67,7 +63,7 @@ class EngineStats:
             (``FlowConfig.policy = "race:..."``).
         race_candidates: candidate policy runs dispatched across all
             raced groups (``race_groups`` x portfolio size, minus any
-            replayed from cache/checkpoint).
+            replayed from the result cache).
         race_losers_cancelled: losing candidate submissions cancelled
             before they ran (pool futures revoked once the group's
             winner was decided or the run was interrupted).
@@ -75,8 +71,8 @@ class EngineStats:
             excluded from their group's race (the race proceeds as long
             as one candidate survives).
         remote: nested counters of the remote executor (broker address,
-            tasks submitted/completed, lease expiries, shared-cache
-            hits, broker errors); None for every other executor, and
+            ``tasks_submitted``, ``tasks_completed``, ``lease_expiries``,
+            ``broker_errors``); None for every other executor, and
             then omitted from :meth:`as_dict` -- the report's ``engine``
             section only carries a ``remote`` object on remote runs.
     """
@@ -95,9 +91,6 @@ class EngineStats:
     worker_crashes: int = 0
     groups_degraded: int = 0
     faults_injected: int = 0
-    checkpoint_saved: int = 0
-    checkpoint_replayed: int = 0
-    checkpoint_stale_entries: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_stores: int = 0
@@ -131,15 +124,20 @@ class TaskCounts:
         self._kind_counts[kind] += 1
 
     def note_depth(self, depth: int) -> None:
-        """Record a recursion depth or a number of outstanding groups."""
+        """Record a recursion level reached (here or in a merged group)."""
         if depth > self._depth_max:
             self._depth_max = depth
+
+    @property
+    def depth_max(self) -> int:
+        """The deepest recursion level recorded so far."""
+        return self._depth_max
 
     def merge_counts(
         self, kind_counts: dict[str, int], offloaded: bool = False
     ) -> None:
-        """Fold per-kind counts of a group mapped elsewhere (a worker, a
-        checkpoint or a cache entry)."""
+        """Fold per-kind counts of a group mapped elsewhere (a worker or
+        a cache entry)."""
         for kind, count in kind_counts.items():
             if kind not in self._kind_counts:
                 raise ValueError(f"unknown task kind {kind!r}")

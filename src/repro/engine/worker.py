@@ -10,8 +10,15 @@ with fresh names (see :func:`repro.engine.executors.merge_group_result`).
 
 Workers force ``jobs=1`` and the serial executor internally, so no nested
 process pools are spawned, and they run untraced (the parent's spans
-around submit/collect still time them; step counts are merged back via
-``kind_counts``).
+around submit/collect still time them; step counts and the deepest
+recursion are merged back via ``kind_counts`` and ``depth``).
+
+The same two types key and fill the persistent result cache
+(:mod:`repro.cache`), the one store a re-run replays finished groups
+from: :func:`payload_fingerprint` identifies a payload,
+:func:`config_digest` the semantic flow knobs, and
+:func:`result_to_json` / :func:`result_from_json` are the portable JSON
+form of a result (also the remote executor's wire form).
 
 Everything here must stay module-level and picklable: the pool pickles
 payloads and results, not closures.
@@ -19,7 +26,9 @@ payloads and results, not closures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import hashlib
+import json
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 from repro.bdd.manager import BDD
@@ -68,12 +77,18 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class GroupResult:
-    """What a worker sends back for one group."""
+    """What a worker sends back for one group.
+
+    ``depth`` is the deepest recursion level the group reached (1 for a
+    group that needed no smaller vector); the merge folds it into
+    ``queue_depth_max``.
+    """
 
     nodes: tuple[NodeSpec, ...]
     outputs: tuple[str, ...]
     records: tuple["GroupRecord", ...]
     kind_counts: dict[str, int]
+    depth: int = 0
 
 
 def run_group(payload: GroupPayload) -> GroupResult:
@@ -95,8 +110,6 @@ def run_group(payload: GroupPayload) -> GroupResult:
         executor="serial",
         broker=None,  # remote workers must never re-dispatch remotely
         fault_plan=None,
-        checkpoint_path=None,
-        resume_from=None,
         cache_db=None,  # the parent owns the single store connection
     )
     bdd = BDD()
@@ -134,4 +147,108 @@ def run_group(payload: GroupPayload) -> GroupResult:
         outputs=tuple(signals),
         records=tuple(context.records),
         kind_counts=counts.kind_counts(),
+        depth=counts.depth_max,
+    )
+
+
+#: FlowConfig fields that do not change the mapped network -- excluded
+#: from the config digest so e.g. a different worker count replays the
+#: same cached groups.  Every *new* FlowConfig field is semantic by default.
+_NON_SEMANTIC_FIELDS = frozenset(
+    {
+        "jobs",
+        "executor",
+        # The broker address is pure transport: a remote run replays a
+        # serial run's groups (and vice versa) to byte-identical output.
+        "broker",
+        "fault_plan",
+        "task_timeout",
+        "task_retries",
+        "retry_backoff",
+        "degrade_to_serial",
+        "cache_db",
+    }
+)
+
+
+def config_digest(config: "FlowConfig") -> str:
+    """Digest of the semantic flow knobs (the result cache's key prefix)."""
+    semantic = {
+        f.name: getattr(config, f.name)
+        for f in fields(config)
+        if f.name not in _NON_SEMANTIC_FIELDS
+    }
+    blob = json.dumps(semantic, sort_keys=True, default=repr)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def payload_fingerprint(payload: GroupPayload) -> str:
+    """Digest identifying one group subproblem (functions + frontier names).
+
+    Covers the exported DAG (variable names, node triples, roots) and the
+    level-to-signal binding; the flow configuration is covered by
+    :func:`config_digest` instead.
+    """
+    dag = payload.dag
+    blob = json.dumps(
+        [
+            list(dag.var_names),
+            [list(n) for n in dag.nodes],
+            list(dag.roots),
+            sorted(payload.level_signals.items()),
+        ]
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def result_to_json(result: GroupResult) -> dict:
+    """Serialize a :class:`GroupResult` as a JSON-compatible object."""
+    return {
+        "nodes": [
+            [s.name, list(s.fanins), s.num_vars,
+             [[care, value] for care, value in s.cubes], s.constant]
+            for s in result.nodes
+        ],
+        "outputs": list(result.outputs),
+        "records": [
+            [r.outputs, r.num_globals, r.num_functions,
+             r.num_functions_unshared]
+            for r in result.records
+        ],
+        "kind_counts": dict(result.kind_counts),
+        "depth": result.depth,
+    }
+
+
+def result_from_json(payload: dict) -> GroupResult:
+    """Rebuild a :class:`GroupResult` from :func:`result_to_json` output.
+
+    The counts are read as ints: the payload is input from outside the
+    program, and they feed the run's statistics unchecked.  A payload
+    without ``depth`` (stored before results carried it) reads 0.  A
+    malformed payload raises ``KeyError``, ``TypeError`` or ``ValueError``.
+    """
+    from repro.mapping.flow import GroupRecord
+
+    return GroupResult(
+        nodes=tuple(
+            NodeSpec(
+                name,
+                tuple(fanins),
+                num_vars,
+                tuple((care, value) for care, value in cubes),
+                constant=constant,
+            )
+            for name, fanins, num_vars, cubes, constant in payload["nodes"]
+        ),
+        outputs=tuple(payload["outputs"]),
+        records=tuple(
+            GroupRecord(*(int(count) for count in record))
+            for record in payload["records"]
+        ),
+        kind_counts={
+            str(kind): int(count)
+            for kind, count in dict(payload["kind_counts"]).items()
+        },
+        depth=int(payload.get("depth", 0)),
     )

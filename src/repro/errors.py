@@ -50,8 +50,8 @@ class FaultInjected(ReproError):
 
     Raised inside a worker (``drop`` faults, the parent-side form of
     ``kill``) or in the coordinator (``abort`` faults, which simulate the
-    parent dying right after a checkpoint flush).  Never raised unless a
-    fault plan was explicitly configured.
+    parent dying right after a group was merged and stored).  Never
+    raised unless a fault plan was explicitly configured.
 
     Attributes:
         kind: the fault kind that fired (``kill``/``drop``/``abort``).
@@ -107,10 +107,11 @@ class RunInterrupted(ReproError):
     Raised by the executors when a cancellation was requested
     (:func:`repro.engine.executors.request_cancel`) -- by the CLI's
     SIGINT/SIGTERM handlers or by the server's graceful drain.  By the
-    time it propagates, outstanding pool futures have been cancelled and
-    any configured checkpoint has been flushed, so the run can be resumed
-    with ``--resume`` to byte-identical output.  The CLI maps it to exit
-    code 130 (the conventional interrupted-by-signal status).
+    time it propagates, outstanding pool futures have been cancelled, and
+    every group merged before the cut is already in the configured result
+    cache, so running again with the same ``--cache-db`` resumes the run
+    to byte-identical output.  The CLI maps it to exit code 130 (the
+    conventional interrupted-by-signal status).
     """
 
 
@@ -123,16 +124,6 @@ class RemoteTaskError(ReproError):
     partitioned mid-group).  The remote executor's retry ladder treats
     it exactly like any worker exception: retry with backoff, then
     degrade to the in-parent serial path.
-    """
-
-
-class CheckpointError(ReproError):
-    """A checkpoint file cannot be used to resume the current run.
-
-    Raised when the file is unreadable, carries an unknown schema, or was
-    written by a run with an incompatible flow configuration (the config
-    digest differs) -- see ``docs/RELIABILITY.md`` for the compatibility
-    rules.
     """
 
 

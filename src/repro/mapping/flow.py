@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from repro import observe
-from repro.bdd.manager import FALSE, TRUE
 from repro.engine import EXECUTORS, Engine, EngineStats
 from repro.engine.faults import FaultPlan
 from repro.engine.policies import POLICIES, parse_policy_spec
@@ -45,6 +44,7 @@ from repro.observe.stats import BddStats
 from repro.partitioning.outputs import partition_outputs
 from repro.partitioning.variables import Strategy
 from repro.targets import AUTO_TARGET, resolve_target
+from repro.verify import network_bdds
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,6 @@ class FlowConfig:
     retry_backoff: float = 0.05  # base of the exponential retry backoff (s)
     degrade_to_serial: bool = True  # failing groups fall back in-parent
     fault_plan: FaultPlan | None = None  # deterministic fault injection
-    checkpoint_path: str | None = None  # write completed groups here
-    checkpoint_every: int = 1  # flush period, in merged groups
-    resume_from: str | None = None  # replay a checkpoint file
 
     # -- persistent result cache (see docs/CACHING.md) ------------------
     cache_db: str | None = None  # sqlite store of group results
@@ -90,7 +87,7 @@ class FlowConfig:
             raise ValueError("k < 3 cannot host the Shannon fallback mux")
         # Normalize the resolver pseudo-target to a concrete name and pin
         # k to the target's cell width, so the semantic config digest
-        # (checkpoints, result cache) never sees "auto"/None; an explicit
+        # (the result cache's key) never sees "auto"/None; an explicit
         # k must agree with a concrete target.
         name, k = resolve_target(self.target, self.k)
         object.__setattr__(self, "target", name)
@@ -130,8 +127,6 @@ class FlowConfig:
             raise ValueError("task_retries must be >= 0")
         if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
 
 
 @dataclass
@@ -281,21 +276,7 @@ def verify_flow(original: Network, result: FlowResult) -> bool:
     simulation.
     """
     reference = collapse(original)
-    bdd = reference.bdd
-    values: dict[str, int] = {
-        name: bdd.var(level) for name, level in reference.input_levels.items()
-    }
-    lut_net = result.network
-    for name in lut_net.topological_order():
-        node = lut_net.nodes[name]
-        acc = FALSE
-        for cube in node.cover.cubes:
-            term = TRUE
-            for j, polarity in cube.literals().items():
-                fn = values[node.fanins[j]]
-                term = bdd.apply_and(term, fn if polarity else bdd.apply_not(fn))
-            acc = bdd.apply_or(acc, term)
-        values[name] = acc
+    values = network_bdds(reference, result.network)
     for out_name, signal in result.output_signals.items():
         if values[signal] != reference.output_nodes[out_name]:
             return False

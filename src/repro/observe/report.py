@@ -33,7 +33,7 @@ The ``engine`` section (new in version 2) is a flat object of scalars
 describing the :mod:`repro.engine` run: the executor taken, worker count,
 per-kind task counts, the queue-depth high-water mark, and -- new in
 version 3 -- the reliability counters of the fault-tolerant executor
-(retries, timeouts, degradations, checkpoint activity; see
+(retries, timeouts, degradations, injected faults; see
 ``docs/RELIABILITY.md``).  The ``failures`` array (new in version 3)
 holds one structured record per failed task attempt, as collected by
 :meth:`repro.observe.Tracer.failure`; each record carries at least a

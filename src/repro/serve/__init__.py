@@ -4,7 +4,8 @@ The package turns the one-shot synthesis flow into a service: submit
 PLA/BLIF circuits over HTTP, poll for ``repro-run-report/5`` progress,
 and fetch BLIF byte-identical to the CLI.  Concurrent requests multiplex
 onto one shared process pool at group granularity; per-request budgets
-map to HTTP 429/503; shutdown is a checkpointing graceful drain.  See
+map to HTTP 429/503; shutdown is a graceful drain, and a server
+restarted on the same state dir resumes its interrupted jobs.  See
 ``docs/SERVING.md`` for the protocol and :mod:`repro.serve.app` for the
 implementation layering.
 """

@@ -18,15 +18,18 @@ Endpoints (all JSON; see ``docs/SERVING.md`` for the wire schemas):
 Shutdown is a **graceful drain** (SIGINT/SIGTERM or
 :meth:`SynthesisServer.stop`): admission closes, the engine-wide cancel
 flag is raised (:func:`repro.engine.executors.request_cancel` -- the same
-hook the CLI's signal handlers use), runners checkpoint their in-flight
-jobs and exit, the shared result store and worker pool shut down, and
-the listener stops.  A server restarted on the same ``--state-dir``
-re-enqueues the interrupted jobs and resumes them from their checkpoints
-to byte-identical BLIF.
+hook the CLI's signal handlers use), runners stop their in-flight jobs
+and exit, the shared result store and worker pool shut down, and the
+listener stops.  Every group merged before the drain is already in the
+result store.  A server restarted on the same ``--state-dir`` (whose
+store is ``DIR/results.db`` unless ``--cache-db`` names another)
+re-enqueues the interrupted jobs and replays their finished groups from
+the store, to byte-identical BLIF.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from repro.cache.store import close_store
@@ -53,7 +56,8 @@ class ServerConfig:
         jobs: worker processes shared by all requests.
         runners: concurrent synthesis runs.
         backlog: admission-queue bound (excess submissions get 503).
-        state_dir: persistence root for job specs and checkpoints.
+        state_dir: persistence root for job specs, and of the result
+            cache (``results.db``) when ``cache_db`` is unset.
         cache_db: shared persistent result cache, if any.
         task_retries: per-group retry budget.
         fault_plan: fault-injection plan applied to every job (testing).
@@ -151,9 +155,14 @@ class SynthesisServer(JsonService):
         self.config = config
         self.registry = JobRegistry(config.state_dir)
         self.queue = JobQueue(config.backlog)
+        #: The one result store every job reads and fills; with a state
+        #: dir it is also what a restarted server resumes jobs from.
+        self.cache_db = config.cache_db
+        if self.cache_db is None and config.state_dir is not None:
+            self.cache_db = os.path.join(config.state_dir, "results.db")
         self._runner_config = RunnerConfig(
             jobs=config.jobs,
-            cache_db=config.cache_db,
+            cache_db=self.cache_db,
             task_retries=config.task_retries,
             fault_plan=config.fault_plan,
             broker=config.broker,
@@ -187,14 +196,14 @@ class SynthesisServer(JsonService):
             self._runners.append(runner)
 
     def on_drain(self) -> None:
-        """Cancel in-flight runs (checkpoints flush), join the runners,
-        then close the shared result store and the worker pool."""
+        """Cancel in-flight runs, join the runners, then close the shared
+        result store and the worker pool."""
         request_cancel()
         for runner in self._runners:
             runner.request_stop()
         for runner in self._runners:
             runner.join()
-        if self.config.cache_db is not None:
-            close_store(self.config.cache_db)
+        if self.cache_db is not None:
+            close_store(self.cache_db)
         shutdown_pool(force=True)
         reset_cancel()

@@ -19,12 +19,13 @@ runner threads never share spans) with the request's soft budgets armed
 on the ``synthesize`` span; a blown budget surfaces as the
 ``budget-exceeded`` status (HTTP 429), mirroring the CLI's exit code 3.
 
-With a ``state_dir`` every job persists: the spec at admission, the
-checkpoint during the run (the engine's ordinary
-:class:`repro.engine.checkpoint.Checkpointer`), and the final envelope at
-completion.  :meth:`JobRegistry.recover` re-enqueues unfinished jobs at
-startup, so a drained-and-restarted server resumes them -- through the
-checkpoint replay path -- to byte-identical BLIF.
+With a ``state_dir`` every job persists: the spec at admission and the
+final envelope at completion, while the server's result cache (by
+default ``state_dir/results.db``; see :class:`repro.serve.app.SynthesisServer`)
+holds every group merged so far.  :meth:`JobRegistry.recover` re-enqueues
+unfinished jobs at startup, so a drained-and-restarted server resumes
+them -- replaying the finished groups from the cache -- to
+byte-identical BLIF.
 """
 
 from __future__ import annotations
@@ -155,12 +156,6 @@ class JobRegistry:
     # persistence
     # ------------------------------------------------------------------
 
-    def checkpoint_path(self, job: Job) -> str | None:
-        """Where the engine checkpoints this job (None: no state dir)."""
-        if self._state_dir is None:
-            return None
-        return str(self._state_dir / "jobs" / f"{job.id}.ckpt")
-
     def save(self, job: Job) -> None:
         """Persist the job's spec and outcome (atomic rename)."""
         if self._state_dir is None:
@@ -178,23 +173,13 @@ class JobRegistry:
         tmp.write_text(json.dumps(payload) + "\n")
         os.replace(tmp, path)
 
-    def discard_checkpoint(self, job: Job) -> None:
-        """Drop the job's engine checkpoint (after a finished run)."""
-        ckpt = self.checkpoint_path(job)
-        if ckpt is not None:
-            try:
-                os.unlink(ckpt)
-            except FileNotFoundError:
-                pass
-
     def recover(self) -> list[Job]:
         """Reload persisted jobs; return the unfinished ones to re-enqueue.
 
         Finished jobs come back with their stored envelope (so clients
         can still poll them after a restart).  Queued, running, and
-        interrupted jobs return to ``queued``: their next run resumes
-        from the engine checkpoint when one survived, replaying completed
-        groups to byte-identical output.
+        interrupted jobs return to ``queued``: their next run replays the
+        groups the result cache already holds, to byte-identical output.
         """
         if self._state_dir is None:
             return []
@@ -286,22 +271,13 @@ class RunnerConfig:
     broker: str | None = None
 
 
-def flow_config(
-    request: JobRequest,
-    runner: RunnerConfig,
-    checkpoint_path: str | None,
-) -> FlowConfig:
+def flow_config(request: JobRequest, runner: RunnerConfig) -> FlowConfig:
     """The :class:`FlowConfig` equivalent to a one-shot CLI invocation.
 
     Only semantic fields come from the request; execution fields (pool
-    width, retries, checkpoint location) come from the server, and none
-    of them affect the output bytes (see ``docs/ARCHITECTURE.md``).
-    Resume kicks in automatically when a previous attempt left its
-    checkpoint behind.
+    width, retries, result cache) come from the server, and none of them
+    affect the output bytes (see ``docs/ARCHITECTURE.md``).
     """
-    resume_from = None
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        resume_from = checkpoint_path
     return FlowConfig(
         k=request.k,
         target=request.target,
@@ -317,8 +293,6 @@ def flow_config(
             if runner.fault_plan
             else None
         ),
-        checkpoint_path=checkpoint_path,
-        resume_from=resume_from,
         cache_db=runner.cache_db,
     )
 
@@ -355,9 +329,7 @@ def run_job(job: Job, registry: JobRegistry, runner: RunnerConfig) -> None:
             reference = net.copy()
             if request.rugged:
                 rugged(net)
-            config = flow_config(
-                request, runner, registry.checkpoint_path(job)
-            )
+            config = flow_config(request, runner)
             with observe.span("synthesize"):
                 result = synthesize(net, config)
             with observe.span("verify"):
@@ -420,9 +392,6 @@ def run_job(job: Job, registry: JobRegistry, runner: RunnerConfig) -> None:
         job.status = status
         if error is not None:
             job.error = str(error)
-    if status != "interrupted":
-        # Interrupted jobs keep their checkpoint: it is the resume state.
-        registry.discard_checkpoint(job)
     registry.save(job)
 
 

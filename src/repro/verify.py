@@ -25,7 +25,7 @@ from typing import Literal
 
 from repro.bdd.manager import FALSE, TRUE
 from repro.errors import VerificationError
-from repro.network.collapse import CollapseOverflow, collapse
+from repro.network.collapse import CollapsedNetwork, CollapseOverflow, collapse
 from repro.network.network import Network
 from repro.network.simulate import input_vectors
 
@@ -63,14 +63,24 @@ class EquivalenceResult:
         )
 
 
-def _check_bdd(a: Network, b: Network, max_nodes: int | None) -> EquivalenceResult:
-    reference = collapse(a, max_nodes=max_nodes)
+def network_bdds(
+    reference: CollapsedNetwork, net: Network, max_nodes: int | None = None
+) -> dict[str, int]:
+    """The BDD of every signal of ``net``, over ``reference``'s manager.
+
+    ``net``'s primary inputs take the variables of ``reference``'s inputs
+    of the same name, and every node's cover is evaluated bottom-up, so
+    comparing a returned node with one of ``reference``'s outputs is an
+    exact equivalence check (ROBDD canonicity).  Raises
+    :class:`CollapseOverflow` once the manager holds more than
+    ``max_nodes`` nodes.
+    """
     bdd = reference.bdd
     values: dict[str, int] = {
         name: bdd.var(level) for name, level in reference.input_levels.items()
     }
-    for name in b.topological_order():
-        node = b.nodes[name]
+    for name in net.topological_order():
+        node = net.nodes[name]
         acc = FALSE
         for cube in node.cover.cubes:
             term = TRUE
@@ -81,6 +91,13 @@ def _check_bdd(a: Network, b: Network, max_nodes: int | None) -> EquivalenceResu
         values[name] = acc
         if max_nodes is not None and bdd.num_nodes > max_nodes:
             raise CollapseOverflow("equivalence BDDs exceeded the node budget")
+    return values
+
+
+def _check_bdd(a: Network, b: Network, max_nodes: int | None) -> EquivalenceResult:
+    reference = collapse(a, max_nodes=max_nodes)
+    bdd = reference.bdd
+    values = network_bdds(reference, b, max_nodes)
     for out in a.outputs:
         miter = bdd.apply_xor(reference.output_nodes[out], values[out])
         if miter != FALSE:

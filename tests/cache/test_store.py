@@ -43,6 +43,33 @@ class TestRoundTrip:
         assert len(store) == 0
 
 
+class TestDurability:
+    """The store is what an interrupted run resumes from, so every commit
+    must survive a crash or power loss: ``synchronous=FULL`` (2) syncs
+    the write-ahead log on each commit."""
+
+    @staticmethod
+    def synchronous(store: ResultStore) -> int:
+        return store._conn.execute("PRAGMA synchronous").fetchone()[0]
+
+    def test_a_fresh_database_syncs_every_commit(self, tmp_path):
+        store = ResultStore(str(tmp_path / "c.db"))
+        assert self.synchronous(store) == 2
+
+    def test_a_reopened_database_syncs_every_commit(self, tmp_path):
+        path = str(tmp_path / "c.db")
+        first = ResultStore(path)
+        first.put("k", {"v": 1})
+        first.close()
+        store = ResultStore(path)
+        assert self.synchronous(store) == 2
+        # A connection rebuilt after a transient error keeps the setting.
+        store._disable("transient hiccup (simulated)")
+        store._next_reopen = 0.0
+        assert store.get("k") == {"v": 1}
+        assert self.synchronous(store) == 2
+
+
 class TestCorruption:
     def test_garbage_file_disables_with_one_warning(self, tmp_path, capsys):
         path = tmp_path / "c.db"

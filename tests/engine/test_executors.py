@@ -12,6 +12,7 @@ from repro.engine.executors import (
     request_cancel,
     reset_cancel,
 )
+from repro.engine.faults import FaultPlan
 from repro.errors import RunInterrupted
 from repro.io.blif import write_blif
 from repro.mapping.flow import FlowConfig, synthesize, verify_flow
@@ -75,14 +76,14 @@ class TestSerialExecutor:
         assert stats.tasks_emit_lut > 0
         assert stats.queue_depth_max >= 1
 
-    @pytest.mark.parametrize("run", ["plain", "cache", "race", "checkpoint"])
+    @pytest.mark.parametrize("run", ["plain", "cache", "race", "faults"])
     def test_nothing_is_offloaded(self, tmp_path, run):
         # Portable serial runs map their groups in-process, not in workers.
         knobs = {
             "plain": {},
             "cache": {"cache_db": str(tmp_path / "cache.db")},
             "race": {"policy": "race:ladder-peel,flat-ladder"},
-            "checkpoint": {"checkpoint_path": str(tmp_path / "run.ckpt")},
+            "faults": {"fault_plan": FaultPlan()},  # a plan that fires nothing
         }[run]
         net = multi_group_network()
         stats = synthesize(net, FlowConfig(k=4, **knobs)).engine_stats

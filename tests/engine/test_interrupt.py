@@ -1,11 +1,12 @@
-"""Cancellation lifecycle: RunInterrupted, checkpoint flush, resume.
+"""Cancellation lifecycle: RunInterrupted, stored groups, resume.
 
-ISSUE 8 satellite 1: an interrupt mid-run used to leave orphaned pool
-workers and skip the final checkpoint flush.  These tests drive the
-cancel flag directly (the CLI's signal handlers and the server's drain
-both call the same :func:`request_cancel` hook) and assert the contract:
-prompt :class:`RunInterrupted`, a flushed checkpoint, and a resume that
-reproduces the uninterrupted bytes exactly.
+An interrupt mid-run must not leave orphaned pool workers, and every
+group merged before it must already be in the result cache.  These tests
+drive the cancel flag directly (the CLI's signal handlers and the
+server's drain both call the same :func:`request_cancel` hook) and
+assert the contract: prompt :class:`RunInterrupted`, the merged groups
+stored, and a re-run with the same cache that reproduces the
+uninterrupted bytes exactly.
 """
 
 import threading
@@ -15,6 +16,7 @@ import pytest
 
 from repro.benchcircuits.registry import get_circuit
 from repro.engine import LadderPeelPolicy, parse_fault_plan, synthesize_batch
+from repro.cache.store import open_store
 from repro.engine.executors import (
     cancel_requested,
     request_cancel,
@@ -36,6 +38,16 @@ def _clean_cancel_flag():
 
 def _rd53():
     return get_circuit("rd53").build()
+
+
+def _cancel_once_stored(db: str):
+    """Request a cancel as soon as the store at ``db`` holds a group."""
+    deadline = time.monotonic() + 60
+    while len(open_store(db)) == 0:
+        if time.monotonic() > deadline:  # pragma: no cover
+            break
+        time.sleep(0.02)
+    request_cancel()
 
 
 class TestCancelFlag:
@@ -80,26 +92,18 @@ class TestCancelMidRun:
         self, tmp_path
     ):
         serial = write_blif(synthesize(_rd53()).network)
-        ck = tmp_path / "run.ckpt"
-        # Group 0 completes and checkpoints; groups 1 and 2 sleep in
-        # their workers (every attempt), pinning the parent in the
-        # collect wait -- the deterministic window to cancel inside.
+        db = str(tmp_path / "run.db")
+        # Group 0 completes and is stored; groups 1 and 2 sleep in their
+        # workers (every attempt), pinning the parent in the collect wait
+        # -- the deterministic window to cancel inside.
         config = FlowConfig(
             executor="process",
             jobs=2,
-            checkpoint_path=str(ck),
+            cache_db=db,
             fault_plan=parse_fault_plan("delay=60@1#all,delay=60@2#all"),
         )
 
-        def cancel_once_checkpointed():
-            deadline = time.monotonic() + 60
-            while not ck.exists():
-                if time.monotonic() > deadline:  # pragma: no cover
-                    break
-                time.sleep(0.02)
-            request_cancel()
-
-        canceller = threading.Thread(target=cancel_once_checkpointed)
+        canceller = threading.Thread(target=_cancel_once_stored, args=(db,))
         canceller.start()
         started = time.monotonic()
         try:
@@ -109,41 +113,31 @@ class TestCancelMidRun:
             canceller.join()
         # Prompt exit: nowhere near the 60s the faulted groups sleep.
         assert time.monotonic() - started < 30
-        assert ck.exists(), "interrupt must not skip the checkpoint flush"
+        assert len(open_store(db)) == 1, "the merged group must be stored"
 
         # The CLI/server drain hook: no orphaned workers grinding on.
         shutdown_pool(force=True)
         reset_cancel()
 
         resumed = synthesize(
-            _rd53(),
-            FlowConfig(executor="process", jobs=2, resume_from=str(ck)),
+            _rd53(), FlowConfig(executor="process", jobs=2, cache_db=db)
         )
         assert write_blif(resumed.network) == serial
-        assert resumed.engine_stats.checkpoint_replayed >= 1
-
+        assert resumed.engine_stats.cache_hits >= 1
 
     def test_serial_cancel_between_groups_leaves_a_resumable_checkpoint(
         self, tmp_path
     ):
         # Serial groups run one by one as the collect loop reaches them,
-        # so group 0 is on disk before the delayed group 1 starts.
+        # so group 0 is stored before the delayed group 1 starts.
         serial = write_blif(synthesize(_rd53()).network)
-        ck = tmp_path / "run.ckpt"
+        db = str(tmp_path / "run.db")
         config = FlowConfig(
-            checkpoint_path=str(ck),
+            cache_db=db,
             fault_plan=parse_fault_plan("delay=1@1,delay=1@2"),
         )
 
-        def cancel_once_checkpointed():
-            deadline = time.monotonic() + 60
-            while not ck.exists():
-                if time.monotonic() > deadline:  # pragma: no cover
-                    break
-                time.sleep(0.02)
-            request_cancel()
-
-        canceller = threading.Thread(target=cancel_once_checkpointed)
+        canceller = threading.Thread(target=_cancel_once_stored, args=(db,))
         canceller.start()
         try:
             with pytest.raises(RunInterrupted):
@@ -152,9 +146,9 @@ class TestCancelMidRun:
             canceller.join()
         reset_cancel()
 
-        resumed = synthesize(_rd53(), FlowConfig(resume_from=str(ck)))
+        resumed = synthesize(_rd53(), FlowConfig(cache_db=db))
         assert write_blif(resumed.network) == serial
-        assert resumed.engine_stats.checkpoint_replayed >= 1
+        assert resumed.engine_stats.cache_hits >= 1
 
 
 class TestBatchInterruptPropagation:

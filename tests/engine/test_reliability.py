@@ -2,11 +2,13 @@
 
 Property tests of the reliability contract: a run with injected faults
 (worker kills, dropped results, delays, timeouts) must produce BLIF
-byte-identical to a fault-free serial run; an interrupted checkpointed run
-must resume to the same bytes; a crashing circuit in a batch must fail
-alone, and a batch that unwinds early must leave no group queued on the
-pool.  The fault and checkpoint classes run once per executor: the
-``*Serial`` subclasses repeat them with every group mapped in the parent.
+byte-identical to a fault-free serial run; an interrupted run must resume
+to the same bytes when it runs again with the same result cache
+(``cache_db``), a batch as well as a single circuit; a crashing circuit
+in a batch must fail alone, and a batch that unwinds early must leave no
+group queued on the pool.  The fault and resume classes run once per
+executor: the ``*Serial`` subclasses repeat them with every group mapped
+in the parent.
 """
 
 import multiprocessing
@@ -21,7 +23,7 @@ from repro.algebraic.rugged import rugged
 from repro.benchcircuits.registry import get_circuit
 from repro.engine import synthesize_batch
 from repro.engine.executors import ProcessExecutor, shutdown_pool
-from repro.engine.faults import FaultPlan, FaultSpec
+from repro.engine.faults import FaultPlan, FaultSpec, parse_fault_plan
 from repro.errors import FaultInjected, GroupFailedError, ReproError
 from repro.io.blif import write_blif
 from repro.mapping.flow import FlowConfig, synthesize
@@ -139,52 +141,52 @@ class TestFaultEquivalenceSerial(TestFaultEquivalence):
 
 
 class TestCheckpointResume:
+    """Resume from the result cache: each merged group is stored before
+    the next is collected, so a re-run with the same ``cache_db`` replays
+    every group merged before the cut."""
+
     config = staticmethod(process_config)
 
     def test_aborted_run_resumes_to_the_same_bytes(self, tmp_path):
         net = bench("rd53")
         baseline = synthesize(net, FlowConfig())
-        ck = str(tmp_path / "run.ckpt")
+        db = str(tmp_path / "run.db")
 
-        # The coordinator "dies" right after merging (and checkpointing)
-        # group 1; groups 0 and 1 are on disk, group 2 is not.
+        # The coordinator "dies" right after merging (and storing) group
+        # 1; groups 0 and 1 are in the store, group 2 is not.
         plan = FaultPlan(specs=(FaultSpec("abort", group=1),))
         with pytest.raises(FaultInjected, match="abort"):
-            synthesize(net, self.config(
-                fault_plan=plan, checkpoint_path=ck,
-            ))
+            synthesize(net, self.config(fault_plan=plan, cache_db=db))
 
-        resumed = synthesize(net, self.config(resume_from=ck))
+        resumed = synthesize(net, self.config(cache_db=db))
         assert write_blif(resumed.network) == write_blif(baseline.network)
-        assert resumed.engine_stats.checkpoint_replayed == 2
+        assert resumed.engine_stats.cache_hits == 2
 
     def test_kill_at_checkpoint_then_resume(self, tmp_path):
         # A worker kill *and* a coordinator abort in the same run: the
-        # retried group still checkpoints, and the resumed run replays it.
+        # retried group is still stored, and the resumed run replays it.
         net = bench("misex1", make_rugged=True)
         baseline = synthesize(net, FlowConfig())
-        ck = str(tmp_path / "run.ckpt")
+        db = str(tmp_path / "run.db")
         plan = FaultPlan(specs=(
             FaultSpec("kill", group=0),
             FaultSpec("abort", group=2),
         ))
         with pytest.raises(FaultInjected, match="abort"):
-            synthesize(net, self.config(
-                fault_plan=plan, checkpoint_path=ck,
-            ))
-        resumed = synthesize(net, self.config(resume_from=ck))
+            synthesize(net, self.config(fault_plan=plan, cache_db=db))
+        resumed = synthesize(net, self.config(cache_db=db))
         assert write_blif(resumed.network) == write_blif(baseline.network)
-        assert resumed.engine_stats.checkpoint_replayed == 3
+        assert resumed.engine_stats.cache_hits == 3
 
     def test_completed_checkpoint_replays_everything(self, tmp_path):
         net = bench("rd53")
-        ck = str(tmp_path / "run.ckpt")
-        first = synthesize(net, self.config(checkpoint_path=ck))
-        assert first.engine_stats.checkpoint_saved == 3
-        resumed = synthesize(net, self.config(resume_from=ck))
+        db = str(tmp_path / "run.db")
+        first = synthesize(net, self.config(cache_db=db))
+        assert first.engine_stats.cache_stores == 3
+        resumed = synthesize(net, self.config(cache_db=db))
         assert write_blif(resumed.network) == write_blif(first.network)
         stats = resumed.engine_stats
-        assert stats.checkpoint_replayed == 3
+        assert stats.cache_hits == 3
         # Replayed groups still fold their recorded task counts in, but no
         # worker ever ran: nothing failed, nothing retried.
         assert stats.tasks_retried == 0
@@ -203,13 +205,53 @@ class TestCheckpointAcrossExecutors:
     def test_resume_under_the_other_executor(self, tmp_path, writer, reader):
         net = bench("misex1", make_rugged=True)
         baseline = synthesize(net, FlowConfig())
-        ck = str(tmp_path / "run.ckpt")
+        db = str(tmp_path / "run.db")
         plan = FaultPlan(specs=(FaultSpec("abort", group=1),))
         with pytest.raises(FaultInjected, match="abort"):
-            synthesize(net, writer(fault_plan=plan, checkpoint_path=ck))
-        resumed = synthesize(net, reader(resume_from=ck))
+            synthesize(net, writer(fault_plan=plan, cache_db=db))
+        resumed = synthesize(net, reader(cache_db=db))
         assert write_blif(resumed.network) == write_blif(baseline.network)
-        assert resumed.engine_stats.checkpoint_replayed == 2
+        assert resumed.engine_stats.cache_hits == 2
+
+
+class TestBatchResume:
+    """A batch resumes from the result cache like a single run does."""
+
+    NAMES = ("rd53", "misex1", "5xp1")  # 3, 4 and 6 groups
+
+    def _resume(self, tmp_path, config, plan):
+        db = str(tmp_path / "run.db")
+        baseline = [
+            write_blif(synthesize(bench(name), FlowConfig()).network)
+            for name in self.NAMES
+        ]
+        with pytest.raises(FaultInjected, match="abort"):
+            synthesize_batch(
+                [bench(name) for name in self.NAMES],
+                config(fault_plan=parse_fault_plan(plan), cache_db=db),
+            )
+        resumed = synthesize_batch(
+            [bench(name) for name in self.NAMES], config(cache_db=db)
+        )
+        assert [write_blif(r.network) for r in resumed] == baseline
+        return [r.engine_stats.cache_hits for r in resumed]
+
+    def test_process_batch_replays_every_group_merged_before_the_abort(
+        self, tmp_path
+    ):
+        # Batch ordinals run across the circuits: ordinal 5 is misex1's
+        # third group, so rd53's three and misex1's first three are
+        # stored, and 5xp1 was never collected.
+        hits = self._resume(tmp_path, process_config, "abort@5")
+        assert hits == [3, 3, 0]
+
+    def test_serial_batch_replays_every_group_merged_before_the_abort(
+        self, tmp_path
+    ):
+        # A serial batch maps circuit after circuit, each with its own
+        # ordinals: the abort after rd53's group 1 ends the batch there.
+        hits = self._resume(tmp_path, serial_config, "abort@1")
+        assert hits == [2, 0, 0]
 
 
 class TestBatchIsolation:

@@ -3,7 +3,8 @@
 Property tests of the ISSUE's acceptance bar: a remote run against a
 localhost broker with two workers must produce BLIF byte-identical to a
 serial run -- including under injected worker death (retry, then degrade
-to serial) and across a checkpoint abort -> resume.  Plus broker-level
+to serial) and across an abort -> resume from the coordinator's result
+cache.  Plus broker-level
 lease semantics (expiry requeues with the fault stripped, a second
 expiry fails the task) exercised with handcrafted envelopes.
 """
@@ -239,13 +240,14 @@ def _kill_plan(group: int):
 
 
 class TestCheckpointResume:
-    """Abort -> resume over the remote executor is byte-identical."""
+    """Abort -> re-run with the same result cache over the remote
+    executor is byte-identical."""
 
     def test_abort_then_resume(self, broker, tmp_path):
         _, address = broker
         net = bench("rd53")
         baseline = write_blif(synthesize(net.copy(), FlowConfig()).network)
-        ckpt = tmp_path / "remote.ckpt"
+        db = str(tmp_path / "remote.db")
         from repro.engine.faults import parse_fault_plan
 
         with worker_threads(address, count=2):
@@ -253,15 +255,12 @@ class TestCheckpointResume:
                 synthesize(net.copy(), remote_config(
                     address,
                     fault_plan=parse_fault_plan("abort@1"),
-                    checkpoint_path=str(ckpt),
+                    cache_db=db,
                 ))
-            assert ckpt.exists()
-            res = synthesize(net.copy(), remote_config(
-                address, resume_from=str(ckpt),
-            ))
+            res = synthesize(net.copy(), remote_config(address, cache_db=db))
         assert write_blif(res.network) == baseline
         stats = res.engine_stats
-        assert stats.checkpoint_replayed == 2
+        assert stats.cache_hits == 2
         # Only the group the abort cut short is recomputed remotely.
         assert stats.remote["tasks_submitted"] == 1
 

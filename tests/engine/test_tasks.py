@@ -50,8 +50,8 @@ class TestCounters:
 
 
 # (total, decompose-vector, emit-lut, shannon-split, compose) with k=5.
-# Checkpoints, cache entries and the remote wire carry these counts, so
-# every executor must count each step of the recursion the same way.
+# Cache entries and the remote wire carry these counts, so every executor
+# must count each step of the recursion the same way.
 PINNED_COUNTS = {
     "misex1": (47, 11, 22, 2, 12),
     "vg2": (133, 31, 54, 4, 44),
@@ -74,6 +74,34 @@ def test_per_kind_counts_are_pinned(name, executor):
     if executor == "process" and name == "misex1":
         # misex1 maps several groups, so every step runs in a worker.
         assert stats.tasks_offloaded == stats.tasks_total
+
+
+# The deepest recursion level of any group, with k=5 (and duke2's Table 2
+# group cap).  A group mapped in a worker or replayed from the cache brings
+# its own depth back, so the value must not depend on where groups ran.
+PINNED_DEPTHS = {
+    "misex1": ({}, 3),
+    "vg2": ({}, 6),
+    "duke2": ({"max_group": 8}, 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEPTHS))
+def test_queue_depth_max_is_the_same_under_every_executor(name, tmp_path):
+    knobs, depth = PINNED_DEPTHS[name]
+    db = str(tmp_path / "cache.db")
+    runs = {
+        "serial": FlowConfig(k=5, **knobs),
+        "cold-cache": FlowConfig(k=5, cache_db=db, **knobs),
+        "warm-cache": FlowConfig(k=5, cache_db=db, **knobs),
+        "process": FlowConfig(k=5, executor="process", jobs=2, **knobs),
+    }
+    depths = {
+        label: synthesize(get_circuit(name).build(), config)
+        .engine_stats.queue_depth_max
+        for label, config in runs.items()
+    }
+    assert depths == dict.fromkeys(runs, depth)
 
 
 def test_traced_span_paths_are_pinned():

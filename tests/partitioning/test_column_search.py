@@ -17,6 +17,7 @@ from repro import observe
 from repro.bdd.manager import BDD
 from repro.benchcircuits import get_circuit
 from repro.engine.executors import Engine
+from repro.engine.faults import FaultPlan
 from repro.io.blif import write_blif
 from repro.mapping import flow as flow_module
 from repro.mapping.flow import FlowConfig, synthesize
@@ -200,7 +201,7 @@ class TestSharedKernel:
         for config in (
             FlowConfig(executor="process", jobs=2),
             FlowConfig(cache_db=str(tmp_path / "cache.db")),
-            FlowConfig(checkpoint_path=str(tmp_path / "run.ckpt")),
+            FlowConfig(fault_plan=FaultPlan()),
             FlowConfig(policy="race:ladder-peel,flat-ladder"),
         ):
             assert build_engine(config).partition_kernel() is None, config

@@ -15,6 +15,7 @@ import urllib.request
 import pytest
 
 from repro.benchcircuits.registry import get_circuit
+from repro.cache.store import open_store
 from repro.cli import main
 from repro.io.pla import write_pla
 from repro.serve import (
@@ -328,7 +329,7 @@ class TestConcurrency:
 
 
 # ----------------------------------------------------------------------
-# graceful drain, checkpoint, and restart-resume
+# graceful drain and restart-resume from the state dir's result store
 # ----------------------------------------------------------------------
 
 
@@ -338,8 +339,10 @@ class TestDrainAndResume:
     ):
         reference = cli_reference_blif(tmp_path, RD53_PLA, "rd53")
         state = tmp_path / "state"
+        # Without --cache-db the server keeps its store in the state dir.
+        db = str(state / "results.db")
         # Worker-side delays stall groups 1 and 2 (every attempt) while
-        # group 0 completes and checkpoints -- a deterministic window to
+        # group 0 completes and is stored -- a deterministic window to
         # drain inside.
         srv = SynthesisServer(
             ServerConfig(
@@ -355,19 +358,18 @@ class TestDrainAndResume:
         status, body = submit(base, {"circuit": RD53_PLA, "name": "rd53"})
         assert status == 202
         job_id = body["id"]
-        ckpt = state / "jobs" / f"{job_id}.ckpt"
         deadline = time.monotonic() + 60
-        while not ckpt.exists():
-            assert time.monotonic() < deadline, "checkpoint never appeared"
+        while len(open_store(db)) == 0:
+            assert time.monotonic() < deadline, "no group was ever stored"
             time.sleep(0.05)
         srv.stop()
 
-        # the interrupted job kept its checkpoint and reports 503
+        # the interrupted job is persisted as such, its group kept
         spec = json.loads(
             (state / "jobs" / f"{job_id}.json").read_text()
         )
         assert spec["status"] == "interrupted"
-        assert ckpt.exists()
+        assert len(open_store(db)) == 1
 
         # restart on the same state dir, without the fault plan
         srv2 = SynthesisServer(
@@ -379,12 +381,10 @@ class TestDrainAndResume:
             status, env = poll_until_final(base, job_id)
             assert env["status"] == "done", env["error"]
             assert env["blif"] == reference
-            # at least one group replayed from the checkpoint
-            assert env["report"]["engine"]["checkpoint_replayed"] >= 1
+            # at least one group replayed from the store
+            assert env["report"]["engine"]["cache_hits"] >= 1
         finally:
             srv2.stop()
-        # a finished job's checkpoint is discarded
-        assert not ckpt.exists()
 
     def test_finished_jobs_survive_restart(self, tmp_path):
         state = tmp_path / "state"

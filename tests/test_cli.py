@@ -1,6 +1,8 @@
 """Unit tests for the command-line driver."""
 
+import contextlib
 import json
+import sqlite3
 
 import pytest
 
@@ -291,6 +293,21 @@ def rd53_file(tmp_path):
     return path
 
 
+def stored_groups(db) -> int:
+    """Groups in the result store at ``db`` (0 until it holds any).
+
+    Reads through a connection of its own, so it also sees what another
+    process committed.
+    """
+    if not db.exists():
+        return 0
+    try:
+        with contextlib.closing(sqlite3.connect(db)) as conn:
+            return conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
+    except sqlite3.Error:  # the schema is not created yet
+        return 0
+
+
 class TestReliabilityCli:
     def test_injected_faults_leave_the_blif_byte_identical(
         self, rd53_file, tmp_path, capsys
@@ -314,50 +331,65 @@ class TestReliabilityCli:
     def test_abort_checkpoint_resume_round_trip(
         self, rd53_file, tmp_path, capsys
     ):
+        # Resume is a re-run with the same --cache-db: the groups merged
+        # before the abort replay, the rest are mapped.
         serial = tmp_path / "serial.blif"
         assert main(["synth", str(rd53_file), "-o", str(serial)]) == 0
 
-        ck = tmp_path / "run.ckpt"
+        db = tmp_path / "run.db"
         rc = main(["synth", str(rd53_file), "--executor", "process",
-                   "--jobs", "2", "--checkpoint", str(ck),
+                   "--jobs", "2", "--cache-db", str(db),
                    "--inject-faults", "abort@1"])
         assert rc == 1  # the simulated coordinator death
-        assert ck.exists()
+        assert stored_groups(db) == 2
 
         resumed = tmp_path / "resumed.blif"
+        report = tmp_path / "resumed.json"
         rc = main(["synth", str(rd53_file), "--executor", "process",
-                   "--jobs", "2", "--resume", str(ck),
-                   "-o", str(resumed)])
+                   "--jobs", "2", "--cache-db", str(db),
+                   "--report", str(report), "-o", str(resumed)])
         assert rc == 0
         assert resumed.read_text() == serial.read_text()
+        engine = validate_report(json.loads(report.read_text()))["engine"]
+        assert engine["cache_hits"] == 2
 
     def test_serial_abort_checkpoint_resume_round_trip(
         self, rd53_file, tmp_path, capsys
     ):
-        # The serial executor checkpoints group by group and takes fault
-        # plans like the process executor does.
+        # The serial executor stores group by group and takes fault plans
+        # like the process executor does.
         plain = tmp_path / "plain.blif"
         assert main(["synth", str(rd53_file), "-o", str(plain)]) == 0
-        ck = tmp_path / "run.ckpt"
-        rc = main(["synth", str(rd53_file), "--checkpoint", str(ck),
+        db = tmp_path / "run.db"
+        rc = main(["synth", str(rd53_file), "--cache-db", str(db),
                    "--inject-faults", "abort@1"])
         assert rc == 1
         resumed = tmp_path / "resumed.blif"
-        rc = main(["synth", str(rd53_file), "--resume", str(ck),
+        rc = main(["synth", str(rd53_file), "--cache-db", str(db),
                    "-o", str(resumed)])
         assert rc == 0
         assert resumed.read_text() == plain.read_text()
 
-    def test_resume_under_other_knobs_exits_2(
+    def test_rerun_under_other_knobs_replays_nothing(
         self, rd53_file, tmp_path, capsys
     ):
-        ck = tmp_path / "run.ckpt"
-        main(["synth", str(rd53_file), "--executor", "process",
-              "--jobs", "2", "--checkpoint", str(ck)])
-        rc = main(["synth", str(rd53_file), "--executor", "process",
-                   "--jobs", "2", "--resume", str(ck), "--k", "4"])
-        assert rc == 2
-        assert "different flow" in capsys.readouterr().err
+        # Groups are stored under the semantic config digest, so a re-run
+        # with other knobs maps every group afresh, to its own bytes.
+        db = tmp_path / "run.db"
+        plain = tmp_path / "plain.blif"
+        rerun = tmp_path / "rerun.blif"
+        report = tmp_path / "rerun.json"
+        assert main(["synth", str(rd53_file), "--k", "4",
+                     "-o", str(plain)]) == 0
+        assert main(["synth", str(rd53_file), "--executor", "process",
+                     "--jobs", "2", "--cache-db", str(db)]) == 0
+        assert main(["synth", str(rd53_file), "--executor", "process",
+                     "--jobs", "2", "--cache-db", str(db), "--k", "4",
+                     "--report", str(report), "-o", str(rerun)]) == 0
+        assert rerun.read_text() == plain.read_text()
+        engine = validate_report(json.loads(report.read_text()))["engine"]
+        assert engine["cache_hits"] == 0
+        assert engine["cache_misses"] == engine["cache_stores"] > 0
 
     def test_batch_isolates_a_crashing_circuit(
         self, rd53_file, pla_file, tmp_path, capsys
@@ -379,13 +411,13 @@ class TestReliabilityCli:
 
 
 class TestInterruptCli:
-    """SIGINT/SIGTERM drain: exit 130, no orphans, resumable checkpoint.
+    """SIGINT/SIGTERM drain: exit 130, no orphans, a resumable store.
 
-    Regression for ISSUE 8 satellite 1: a signal used to tear the CLI
-    down with a KeyboardInterrupt traceback, leaving pool workers
-    orphaned and the checkpoint unflushed.  The drain contract is
-    exercised in a real subprocess because signal disposition is
-    per-process state.
+    A signal must not tear the CLI down with a KeyboardInterrupt
+    traceback or leave pool workers orphaned, and every group merged
+    before it must already be committed to the ``--cache-db`` store.  The
+    drain contract is exercised in a real subprocess because signal
+    disposition is per-process state.
     """
 
     @staticmethod
@@ -399,17 +431,17 @@ class TestInterruptCli:
             os.path.abspath(__file__))), "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        ck = tmp_path / "run.ckpt"
+        db = tmp_path / "run.db"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "synth", str(rd53_file),
              "--executor", "process", "--jobs", "2",
-             "--checkpoint", str(ck),
+             "--cache-db", str(db),
              "--inject-faults", "delay=120@1#all,delay=120@2#all",
              "-o", str(tmp_path / "never.blif")],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True,
         )
-        return proc, ck
+        return proc, db
 
     @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
     def test_signal_exits_130_flushes_checkpoint_and_resumes(
@@ -421,12 +453,12 @@ class TestInterruptCli:
         serial = tmp_path / "serial.blif"
         assert main(["synth", str(rd53_file), "-o", str(serial)]) == 0
 
-        proc, ck = self._spawn_stalled_run(rd53_file, tmp_path)
+        proc, db = self._spawn_stalled_run(rd53_file, tmp_path)
         try:
             deadline = time.monotonic() + 120
-            while not ck.exists():
+            while stored_groups(db) == 0:
                 assert proc.poll() is None, proc.communicate()[1]
-                assert time.monotonic() < deadline, "checkpoint never appeared"
+                assert time.monotonic() < deadline, "no group was ever stored"
                 time.sleep(0.05)
             proc.send_signal(getattr(signal_mod, signame))
             # Prompt drain: nowhere near the 120s the faulted groups sleep.
@@ -438,15 +470,19 @@ class TestInterruptCli:
         assert proc.returncode == 130, err
         assert "interrupt" in err
         assert "Traceback" not in err
-        assert ck.exists(), "drain must flush the checkpoint"
+        assert stored_groups(db) == 1, "the merged group must be stored"
 
-        # Restart-resume reproduces the uninterrupted bytes exactly.
+        # A re-run with the same store reproduces the uninterrupted
+        # bytes exactly, replaying the stored group.
         resumed = tmp_path / "resumed.blif"
+        report = tmp_path / "resumed.json"
         rc = main(["synth", str(rd53_file), "--executor", "process",
-                   "--jobs", "2", "--resume", str(ck),
-                   "-o", str(resumed)])
+                   "--jobs", "2", "--cache-db", str(db),
+                   "--report", str(report), "-o", str(resumed)])
         assert rc == 0
         assert resumed.read_text() == serial.read_text()
+        engine = validate_report(json.loads(report.read_text()))["engine"]
+        assert engine["cache_hits"] == 1
 
 
 PAIR_BLIF = """\
@@ -460,7 +496,7 @@ PAIR_BLIF = """\
 .end
 """
 
-# The same structure with output y complemented: the z group's checkpoint
+# The same structure with output y complemented: the z group's payload
 # fingerprint still matches, the y group's does not.
 PAIR_BLIF_Y_FLIPPED = """\
 .model pair
@@ -525,30 +561,29 @@ class TestResultCacheCli:
         assert "disabled" in err and "continuing without cache" in err
 
 
-class TestStaleCheckpointNotice:
-    def test_resume_with_changed_network_reports_stale_entries(
-        self, tmp_path, capsys
+    def test_changed_network_replays_only_its_unchanged_groups(
+        self, tmp_path
     ):
         before = tmp_path / "before.blif"
         after = tmp_path / "after.blif"
         before.write_text(PAIR_BLIF)
         after.write_text(PAIR_BLIF_Y_FLIPPED)
-        ck = tmp_path / "run.ckpt"
-        report = tmp_path / "resumed.json"
+        db = tmp_path / "run.db"
+        plain, rerun = tmp_path / "plain.blif", tmp_path / "rerun.blif"
+        report = tmp_path / "rerun.json"
+        assert main(["synth", str(after), "--mode", "single",
+                     "-o", str(plain)]) == 0
         assert main(["synth", str(before), "--mode", "single",
                      "--executor", "process", "--jobs", "2",
-                     "--checkpoint", str(ck)]) == 0
-        rc = main(["synth", str(after), "--mode", "single",
-                   "--executor", "process", "--jobs", "2",
-                   "--resume", str(ck), "--report", str(report),
-                   "-o", str(tmp_path / "resumed.blif")])
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert "stale checkpoint entry" in err
-        assert "recomputing" in err
+                     "--cache-db", str(db)]) == 0
+        assert main(["synth", str(after), "--mode", "single",
+                     "--executor", "process", "--jobs", "2",
+                     "--cache-db", str(db), "--report", str(report),
+                     "-o", str(rerun)]) == 0
+        assert rerun.read_bytes() == plain.read_bytes()
         engine = validate_report(json.loads(report.read_text()))["engine"]
-        assert engine["checkpoint_stale_entries"] == 1
-        assert engine["checkpoint_replayed"] == 1
+        assert engine["cache_hits"] == 1  # z
+        assert engine["cache_misses"] == 1  # the complemented y
 
 
 class TestTargetsCli:

@@ -5,8 +5,8 @@ extracts every fenced code block tagged ``sh``/``bash``/``python`` from
 README.md and docs/*.md and runs it.  Blocks run per file, in document
 order, inside one scratch directory seeded with the fixture circuits the
 examples reference (``design.pla``, ``big.blif``, ...), so a later block
-may consume files an earlier block produced — the checkpoint/resume
-example in docs/RELIABILITY.md depends on this.
+may consume files an earlier block produced — the resume example in
+docs/RELIABILITY.md depends on this.
 
 A block preceded by an ``<!-- doc-snippet: skip -->`` comment (an
 optional parenthesized reason is allowed) is extracted but not executed;

@@ -8,7 +8,7 @@ engine -- must leave every digest unchanged.  vg2 has outputs wider than
 the truth-table limit, so its bound sets are scored on the BDD route.
 
 The executor cells map the same circuits on the process pool, through the
-serial executor's portable path (checkpoint file, warm result cache) and
+serial executor's portable path (a cold, then a warm result cache) and
 as one pipelined process batch of all four circuits (one or two workers,
 fault-free, with a worker kill, and under a seeded-random fault plan):
 every executor must emit the same bytes.  Naming the
@@ -142,15 +142,11 @@ def executor_runs(cell: str, tmp_path) -> list[FlowConfig]:
     """The configurations one executor cell runs, in order."""
     if cell == "process":
         return [FlowConfig(k=5, executor="process", jobs=2)]
-    if cell == "serial-checkpoint":
-        return [FlowConfig(k=5, checkpoint_path=str(tmp_path / "run.ckpt"))]
     # A cold run fills the cache the second run reads.
     return [FlowConfig(k=5, cache_db=str(tmp_path / "cache.db"))] * 2
 
 
-@pytest.mark.parametrize(
-    "cell", ["process", "serial-checkpoint", "serial-warm-cache"]
-)
+@pytest.mark.parametrize("cell", ["process", "serial-warm-cache"])
 @pytest.mark.parametrize("name", ["rd53", "misex1"])
 def test_executor_cells(name, cell, tmp_path):
     for config in executor_runs(cell, tmp_path):
