@@ -41,7 +41,7 @@ and optionally carry a name.  The variable order is the creation order.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 #: Sentinel level of the terminal node; larger than any variable level.
 TERMINAL_LEVEL = 1 << 30
@@ -263,25 +263,6 @@ class BDD:
                 stack.append(highs[i] ^ c)
         return len(seen)
 
-    def descendants(self, u: int) -> set[int]:
-        """Set of edges reachable from ``u`` (including ``u`` and terminals)."""
-        lows = self._low
-        highs = self._high
-        seen: set[int] = set()
-        add = seen.add
-        stack = [u]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            add(v)
-            i = v >> 1
-            if i:
-                c = v & 1
-                stack.append(lows[i] ^ c)
-                stack.append(highs[i] ^ c)
-        return seen
-
     # ------------------------------------------------------------------
     # the unified bounded operation cache
     # ------------------------------------------------------------------
@@ -290,10 +271,6 @@ class BDD:
         """Drop all memoization tables (nodes are kept)."""
         self._ops.clear()
         self._support_cache.clear()
-
-    def cache_size(self) -> int:
-        """Number of memoized entries in the unified operation cache."""
-        return len(self._ops)
 
     def cache_stats(self) -> dict:
         """Counters of the unified operation cache (and the node count)."""
@@ -1020,35 +997,6 @@ class BDD:
             return (full ^ base) if e & 1 else base
 
         return rec(u)
-
-    # ------------------------------------------------------------------
-    # misc
-    # ------------------------------------------------------------------
-
-    def build_expr(
-        self,
-        op: str,
-        *operands: int,
-    ) -> int:
-        """Apply a named operator (``and/or/xor/xnor/not/implies``) to operands."""
-        ops: dict[str, Callable[..., int]] = {
-            "and": self.conjoin,
-            "or": self.disjoin,
-        }
-        if op in ops:
-            return ops[op](operands)
-        if op == "not":
-            (f,) = operands
-            return self.apply_not(f)
-        binary = {
-            "xor": self.apply_xor,
-            "xnor": self.apply_xnor,
-            "implies": self.apply_implies,
-        }
-        if op in binary:
-            f, g = operands
-            return binary[op](f, g)
-        raise ValueError(f"unknown operator {op!r}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BDD vars={self.num_vars} nodes={self.num_nodes}>"

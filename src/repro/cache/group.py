@@ -25,12 +25,15 @@ from typing import TYPE_CHECKING
 
 from repro import observe
 from repro.bdd.manager import FALSE, TRUE
+from repro.boolfunc.cube import Cube
+from repro.boolfunc.sop import Sop
 from repro.cache.store import ResultStore, open_store
 from repro.engine.worker import (
     config_digest,
     result_from_json,
     result_to_json,
 )
+from repro.network.collapse import cover_function
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.engine.emitter import EmitContext
@@ -107,7 +110,8 @@ class GroupCache:
     ) -> bool:
         """Prove ``result`` computes exactly ``f_nodes`` on this manager.
 
-        The sub-network is evaluated bottom-up as BDDs (covers are in
+        The sub-network is evaluated bottom-up as BDDs with
+        :func:`repro.network.collapse.cover_function` (covers are in
         topological order by construction) and each output is compared
         against the requested root -- canonicity makes the equality a
         proof, exactly like :func:`repro.mapping.flow.verify_flow`.
@@ -126,16 +130,11 @@ class GroupCache:
                 if fn is None:
                     return False
                 fanin_fns.append(fn)
-            acc = FALSE
-            for care, value in spec.cubes:
-                term = TRUE
-                for j, fn in enumerate(fanin_fns):
-                    if care & (1 << j):
-                        term = bdd.apply_and(
-                            term, fn if value & (1 << j) else fn ^ 1
-                        )
-                acc = bdd.apply_or(acc, term)
-            values[spec.name] = acc
+            cover = Sop(
+                spec.num_vars,
+                [Cube(spec.num_vars, care, value) for care, value in spec.cubes],
+            )
+            values[spec.name] = cover_function(bdd, cover, fanin_fns)
         if len(result.outputs) != len(f_nodes):
             return False
         for sig, want in zip(result.outputs, f_nodes):

@@ -19,8 +19,9 @@ writes the mapped netlist as BLIF.
 or ``auto``; see ``docs/TARGETS.md``) and ``--policy`` the decomposition
 heuristic -- including a per-group portfolio race
 (``race:ladder-peel,flat-ladder``) where every candidate policy maps
-each output group and the cheapest result under the target wins
-deterministically.
+each output group, back to back inside the group's one task, and the
+cheapest result under the target wins deterministically, through
+retries, degradation and cache replay alike.
 
 ``batch`` maps many circuits in one invocation through one shared work
 queue: with ``--executor process`` the decomposition groups of *all*

@@ -19,6 +19,7 @@ from __future__ import annotations
 from repro.bdd.manager import BDD, FALSE, TRUE
 from repro.boolfunc.sop import Sop
 from repro.boolfunc.truthtable import TruthTable
+from repro.network.collapse import cover_function
 from repro.network.network import Network
 
 
@@ -35,14 +36,9 @@ def _signal_functions(
             values[name] = t_var
             continue
         node = network.nodes[name]
-        acc = FALSE
-        for cube in node.cover.cubes:
-            term = TRUE
-            for j, polarity in cube.literals().items():
-                fn = values[node.fanins[j]]
-                term = bdd.apply_and(term, fn if polarity else bdd.apply_not(fn))
-            acc = bdd.apply_or(acc, term)
-        values[name] = acc
+        values[name] = cover_function(
+            bdd, node.cover, [values[f] for f in node.fanins]
+        )
     return values
 
 

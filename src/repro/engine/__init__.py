@@ -16,7 +16,8 @@ cofactor subproblems.  This package runs it:
   race, bound-size ladder, lone-output peel) behind the typed
   :class:`DecomposePolicy` interface, swappable via ``FlowConfig`` --
   including per-group portfolio racing (``policy="race:p1,p2,..."``),
-  where every candidate maps each output group and the cheapest result
+  where every candidate maps each output group inside the group's one
+  task (:func:`repro.engine.worker.run_group`) and the cheapest result
   under the technology target (:mod:`repro.targets`) wins
   deterministically.
 - :mod:`repro.engine.executors` -- one submit/collect drain behind three

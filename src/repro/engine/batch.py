@@ -124,13 +124,13 @@ def synthesize_batch(
                 except ReproError as exc:
                     if fail_fast:
                         raise
-                    ProcessExecutor._cancel_outstanding(prep.engine, subs)
+                    ProcessExecutor._cancel_outstanding(subs)
                     observe.add("batch_circuits_failed")
                     results[slot] = exc
     except BaseException:
         # Futures that are done or running ignore the cancel; queued ones
         # must not keep the shared pool busy after the batch is dead.
         for _, prep, subs in dispatched:
-            ProcessExecutor._cancel_outstanding(prep.engine, subs)
+            ProcessExecutor._cancel_outstanding(subs)
         raise
     return results

@@ -7,8 +7,9 @@ runs.  :class:`ProcessExecutor` owns the one drain:
 - :meth:`ProcessExecutor.submit_groups` exports each group as a portable
   subproblem (:class:`repro.engine.worker.GroupPayload`), replays it from
   the persistent result cache when it can, and otherwise creates one
-  future per group (one per candidate policy under a ``race:`` policy)
-  through the ``_pool_submit`` seam.
+  future per group through the ``_pool_submit`` seam.  A ``race:`` policy
+  is raced inside that one task (:func:`repro.engine.worker.run_group`),
+  so the drain never sees candidate policies.
 - :meth:`ProcessExecutor.collect_groups` waits for each future in order
   with one retry ladder, merges the mapped sub-network into the parent
   network (renaming worker-local signals through its ``fresh_name``
@@ -34,10 +35,10 @@ The drain is **fault-tolerant** (see ``docs/RELIABILITY.md``): a failed
 group submission -- worker crash, exceeded ``FlowConfig.task_timeout``,
 or any exception crossing the future -- is retried up to
 ``FlowConfig.task_retries`` times with exponential backoff, rebuilding the
-pool after a crash; a group that keeps failing degrades to the in-parent
-drain, which still yields the identical network because emission order
-is preserved.  Every failure is recorded as a structured record via
-:func:`repro.observe.failure` and counted in
+pool after a crash; a group that keeps failing degrades: its own payload
+runs in the parent, and its result merges at the group's position like
+any other, so the network stays identical.  Every failure is recorded as
+a structured record via :func:`repro.observe.failure` and counted in
 :class:`repro.engine.tasks.EngineStats`.  With ``FlowConfig.cache_db``
 set, every merged group is committed to the result cache before the next
 one is collected, so an interrupted run resumes by running again with the
@@ -110,76 +111,36 @@ def drain_groups(
 ) -> list[list[str]]:
     """Map each group on ``emitter``'s context, in order.
 
-    The one in-parent drain: :func:`repro.engine.worker.run_group` runs it
-    on a worker's private manager, :class:`SerialExecutor` on the engine's
-    own context, and a degraded group at its merge position.
+    The one drain of the recursion: :func:`repro.engine.worker.run_group`
+    runs it on a private manager, and :class:`SerialExecutor`'s direct
+    drain on the engine's own context.
     """
     return [emitter.map_vector(f_nodes, {}) for f_nodes in groups]
 
 
-def candidate_payload(payload: GroupPayload, policy: str) -> GroupPayload:
-    """The group payload re-pinned to one concrete racing policy.
-
-    Candidate workers must never see the ``race:`` spec itself -- each
-    runs exactly one named policy; everything else about the subproblem
-    (functions, frontier signals, knobs) is shared.
-    """
-    return dc_replace(
-        payload, config=dc_replace(payload.config, policy=policy)
-    )
-
-
-@dataclass
-class RaceEntry:
-    """One candidate policy of one raced group on the process pool.
-
-    Attributes:
-        policy: the candidate's concrete policy name.
-        index: position in the race spec (the deterministic tie-break).
-        payload: the candidate-pinned subproblem (resubmitted on retry).
-        future: the pending pool future.
-        attempt: current retry attempt (0 = first submission).
-    """
-
-    policy: str
-    index: int
-    payload: GroupPayload
-    future: object | None = None
-    attempt: int = 0
-
-
 @dataclass
 class Submission:
-    """Book-keeping of one in-flight group on the process pool.
+    """Book-keeping of one in-flight group.
 
     Attributes:
         ordinal: submission ordinal (dispatch order, batch-wide).
-        f_nodes: the group's BDD roots in the parent manager (kept so the
-            degraded serial fallback can re-run the group in-parent).
-        payload: the exported subproblem (resubmitted on retry).
+        payload: the exported subproblem (resubmitted on retry, and run
+            in the parent if the group degrades).
         fingerprint: identity of the payload, the result cache's key
             (None when no cache is open).
-        future: the pending pool future (None for replayed groups).
+        future: the pending future (None for replayed groups).
         cached: result replayed from the result cache, if any.
         attempt: current retry attempt (0 = first submission).
         failures: structured records of every failed attempt so far.
-        degraded_signals: output signals produced by the in-parent serial
-            fallback (None unless the group degraded).
-        entries: candidate submissions of a policy-portfolio race (None
-            when the group is not raced; exactly one wins at collect
-            time).
     """
 
     ordinal: int
-    f_nodes: list[int]
     payload: GroupPayload
     fingerprint: str | None = None
     future: object | None = None
     cached: GroupResult | None = None
     attempt: int = 0
     failures: list[dict] = field(default_factory=list)
-    degraded_signals: list[str] | None = None
-    entries: list[RaceEntry] | None = None
 
 
 class ProcessExecutor:
@@ -275,32 +236,15 @@ class ProcessExecutor:
         subs: list[Submission] = []
         for i, f_nodes in enumerate(groups):
             payload = self._payload(ctx, f_nodes)
-            sub = Submission(first_ordinal + i, list(f_nodes), payload)
+            sub = Submission(first_ordinal + i, payload)
             if cache is not None:
                 sub.fingerprint = payload_fingerprint(payload)
                 with observe.span("cache-lookup"):
                     sub.cached = cache.lookup(ctx, f_nodes, sub.fingerprint)
             if sub.cached is None:
-                if engine.racing:
-                    self._submit_race(engine, sub)
-                else:
-                    sub.future = self._pool_submit(self._armed(sub, faults))
+                sub.future = self._pool_submit(self._armed(sub, faults))
             subs.append(sub)
         return subs
-
-    def _submit_race(self, engine: "Engine", sub: Submission) -> None:
-        """Fan one group out as competing candidate-policy submissions."""
-        engine.race_counts["race_groups"] += 1
-        sub.entries = []
-        for index, policy in enumerate(engine.race_policies):
-            entry = RaceEntry(
-                policy=policy,
-                index=index,
-                payload=candidate_payload(sub.payload, policy),
-            )
-            entry.future = self._pool_submit(entry.payload)
-            engine.race_counts["race_candidates"] += 1
-            sub.entries.append(entry)
 
     def _pool_submit(self, payload: GroupPayload):
         """Submit on the shared pool, rebuilding it once if it is broken.
@@ -327,7 +271,8 @@ class ProcessExecutor:
     ) -> list[list[str]]:
         """Re-import group results sequentially, in submission order.
 
-        Failed submissions are retried (see :meth:`_await`); each merged
+        Failed submissions are retried (see :meth:`_await`), and a group
+        that keeps failing degrades (see :meth:`_degrade`).  Each merged
         result is stored in the result cache at once, and a parent-side
         ``abort`` fault fires only after that, so a re-run with the same
         cache replays every group merged before the cut.
@@ -340,23 +285,18 @@ class ProcessExecutor:
                         "process drain cancelled (signal or server drain)"
                     )
                 if sub.cached is not None:
-                    result: GroupResult | None = sub.cached
-                elif sub.entries is not None:
-                    result = self._await_race(engine, sub)
+                    result, offloaded = sub.cached, False
+                elif (result := self._await(engine, sub, faults)) is not None:
+                    offloaded = self.offloads
                 else:
-                    result = self._await(engine, sub, faults=faults)
-                if result is not None:
-                    signals = merge_group_result(
-                        engine, result,
-                        offloaded=self.offloads and sub.cached is None,
-                    )
-                    if engine.group_cache is not None and sub.cached is None:
-                        with observe.span("cache-record"):
-                            engine.group_cache.record(sub.fingerprint, result)
-                else:
-                    # Degraded serial fallback already emitted in-parent.
-                    signals = sub.degraded_signals
-                results.append(signals)
+                    result = self._degrade(engine, sub, faults)
+                    offloaded = False
+                results.append(
+                    merge_group_result(engine, result, offloaded=offloaded)
+                )
+                if engine.group_cache is not None and sub.cached is None:
+                    with observe.span("cache-record"):
+                        engine.group_cache.record(sub.fingerprint, result)
                 abort = faults.abort_after(sub.ordinal)
                 if abort is not None:
                     self._counts["faults_injected"] += 1
@@ -364,88 +304,33 @@ class ProcessExecutor:
         except RunInterrupted:
             # Outstanding futures must not keep pool workers (and the
             # interpreter's exit machinery) busy after the run is dead.
-            self._cancel_outstanding(engine, subs)
+            self._cancel_outstanding(subs)
             raise
         return results
 
     @staticmethod
-    def _cancel_outstanding(engine: "Engine", subs: list[Submission]) -> None:
-        """Cancel every not-yet-collected pool future (cancelled drain).
-
-        Race-candidate futures revoked before they started count as
-        cancelled losers -- the run is dead, nobody can win anymore.
-        """
+    def _cancel_outstanding(subs: list[Submission]) -> None:
+        """Cancel every not-yet-collected future (cancelled drain)."""
         for sub in subs:
-            future = sub.future
-            if future is not None:
-                future.cancel()
-            for entry in sub.entries or ():
-                if entry.future is not None and entry.future.cancel():
-                    engine.race_counts["race_losers_cancelled"] += 1
-
-    # ------------------------------------------------------------------
-    # racing
-    # ------------------------------------------------------------------
-
-    def _await_race(
-        self, engine: "Engine", sub: Submission
-    ) -> GroupResult | None:
-        """Decide one raced group from its candidate submissions.
-
-        Candidates are awaited in spec order and every survivor's cost is
-        taken (best-cost semantics need all of them), so the winner --
-        ``min`` by ``(target.group_cost(nodes), spec_index)`` -- is
-        timing-independent and the same under every executor.  A
-        candidate that fails permanently is excluded (``race_failures``);
-        when every candidate dies the group degrades to the in-parent
-        drain exactly like an unraced group.  Any future still pending
-        once the winner is decided is revoked (``race_losers_cancelled``).
-        """
-        outcomes: list[tuple[tuple, int, str, GroupResult]] = []
-        for entry in sub.entries:
-            result = self._await(engine, sub, entry=entry)
-            if result is None:
-                continue
-            cost = engine.context.target.group_cost(result.nodes)
-            outcomes.append((cost, entry.index, entry.policy, result))
-        if not outcomes:
-            return self._degrade(engine, sub, NO_FAULTS)
-        for entry in sub.entries:
-            if entry.future is not None and entry.future.cancel():
-                engine.race_counts["race_losers_cancelled"] += 1
-        _, _, winner, result = min(outcomes, key=lambda o: (o[0], o[1]))
-        engine.note_race_winner(winner)
-        return result
+            if sub.future is not None:
+                sub.future.cancel()
 
     # ------------------------------------------------------------------
     # failure handling
     # ------------------------------------------------------------------
 
     def _await(
-        self,
-        engine: "Engine",
-        sub: Submission,
-        entry: RaceEntry | None = None,
-        faults: ResolvedFaults = NO_FAULTS,
+        self, engine: "Engine", sub: Submission, faults: ResolvedFaults
     ) -> GroupResult | None:
-        """Wait for one submission, or one race candidate ``entry`` of it,
-        retrying failures with backoff.
+        """Wait for one submission, retrying failures with backoff.
 
-        Returns the result, or None once the retry budget is spent: a
-        plain group then degrades to the in-parent drain (its signals are
-        bound on ``sub.degraded_signals``; :class:`GroupFailedError` when
-        that is off or fails too), and a candidate drops out of its race
-        (``race_failures``).  A candidate's failure records carry its
-        policy name.
+        Returns the result, or None once the retry budget is spent.
         """
         config = engine.config
-        task = entry or sub
         while True:
             started = time.perf_counter()
             try:
-                return self._wait_interruptible(
-                    task.future, config.task_timeout
-                )
+                return self._wait_interruptible(sub.future, config.task_timeout)
             except (RunInterrupted, BudgetExceeded):
                 # Not a task failure: the whole run is being torn down
                 # (collect_groups cancels the other futures on the way
@@ -466,24 +351,19 @@ class ProcessExecutor:
             except Exception as exc:  # noqa: BLE001 - any worker failure
                 kind = "error"
                 error = f"{type(exc).__name__}: {exc}"
-            self._note_failure(sub, kind, error, started, entry)
-            task.attempt += 1
-            if task.attempt > config.task_retries:
-                if entry is None:
-                    return self._degrade(engine, sub, faults)
-                engine.race_counts["race_failures"] += 1
+            self._note_failure(sub, kind, error, started)
+            sub.attempt += 1
+            if sub.attempt > config.task_retries:
                 return None
             self._counts["tasks_retried"] += 1
             observe.add("tasks_retried")
             time.sleep(
                 min(
-                    config.retry_backoff * (2 ** (task.attempt - 1)),
+                    config.retry_backoff * (2 ** (sub.attempt - 1)),
                     MAX_BACKOFF_SECONDS,
                 )
             )
-            task.future = self._pool_submit(
-                self._armed(sub, faults) if entry is None else entry.payload
-            )
+            sub.future = self._pool_submit(self._armed(sub, faults))
 
     @staticmethod
     def _wait_interruptible(future, timeout: float | None):
@@ -523,47 +403,39 @@ class ProcessExecutor:
         return dc_replace(sub.payload, fault=fault)
 
     def _note_failure(
-        self,
-        sub: Submission,
-        kind: str,
-        error: str,
-        started: float,
-        entry: RaceEntry | None = None,
+        self, sub: Submission, kind: str, error: str, started: float
     ) -> None:
         """Record one failed attempt (structured, for the run report)."""
-        record: dict = {"kind": kind, "group": sub.ordinal}
-        if entry is not None:
-            record["policy"] = entry.policy
-        record.update(
-            attempt=(entry or sub).attempt,
-            error=error,
-            seconds=round(time.perf_counter() - started, 6),
-        )
+        record = {
+            "kind": kind,
+            "group": sub.ordinal,
+            "attempt": sub.attempt,
+            "error": error,
+            "seconds": round(time.perf_counter() - started, 6),
+        }
         sub.failures.append(record)
         observe.failure(**record)
 
     def _degrade(
         self, engine: "Engine", sub: Submission, faults: ResolvedFaults
-    ) -> None:
-        """Run a repeatedly-failing group in-parent with :func:`drain_groups`.
+    ) -> GroupResult:
+        """Map a repeatedly failing group in the parent, from its payload.
 
-        Emission order is unchanged (the group runs at its merge
-        position), so the final network stays identical to a fault-free
-        run.  Raises :class:`GroupFailedError` when degradation is
-        disabled or the in-parent drain fails too.
+        The payload runs through :class:`_InProcessFuture`, as under the
+        serial executor, with the degraded attempt's planned fault armed.
+        The caller merges the result at the group's position and stores
+        it in the result cache, like any other, so the final network
+        stays identical to a fault-free run.  Raises
+        :class:`GroupFailedError` when degradation is disabled or the
+        in-parent run fails too.
         """
-        config = engine.config
-        if not config.degrade_to_serial:
+        if not engine.config.degrade_to_serial:
             raise GroupFailedError(sub.ordinal, sub.failures)
         self._counts["groups_degraded"] += 1
         observe.add("groups_degraded")
         started = time.perf_counter()
         try:
-            fault = faults.fault_for(sub.ordinal, sub.attempt)
-            if fault is not None:
-                self._counts["faults_injected"] += 1
-                perform_fault(fault, in_worker=False)
-            (signals,) = drain_groups(engine.emitter, [sub.f_nodes])
+            return _InProcessFuture(self._armed(sub, faults)).result()
         except (RunInterrupted, BudgetExceeded):
             raise  # run teardown, not a group failure
         except Exception as exc:
@@ -571,8 +443,6 @@ class ProcessExecutor:
                 sub, "degraded", f"{type(exc).__name__}: {exc}", started
             )
             raise GroupFailedError(sub.ordinal, sub.failures) from exc
-        sub.degraded_signals = signals
-        return None
 
     @staticmethod
     def _payload(ctx: EmitContext, f_nodes: list[int]) -> GroupPayload:
@@ -612,10 +482,10 @@ class _InProcessFuture:
     """One group mapped in the parent when the drain first asks for it.
 
     Speaks the ``concurrent.futures.Future`` subset the drain uses.  A
-    planned fault fires as :meth:`ProcessExecutor._degrade` fires it, so
-    ``kill`` raises :class:`FaultInjected` instead of exiting the
-    coordinator.  ``timeout`` cannot pre-empt a group running in the
-    parent: the call returns only once the group is mapped.
+    planned fault fires in the parent, so ``kill`` raises
+    :class:`FaultInjected` instead of exiting the coordinator.
+    ``timeout`` cannot pre-empt a group running in the parent: the call
+    returns only once the group is mapped.
     """
 
     def __init__(self, payload: GroupPayload) -> None:
@@ -682,7 +552,9 @@ def merge_group_result(
     serial run; constants dedup through the shared constant cache.
     The group's step counts and recursion depth fold into the engine's
     counters, the counts as offloaded work when ``offloaded`` (the group
-    ran in a pool or remote worker).
+    ran in a pool or remote worker), and a raced group's winner into
+    ``engine.race_winners`` -- whether the result came from a worker, the
+    result cache or a degraded run.
     """
     ctx = engine.context
     rename: dict[str, str] = {}
@@ -703,6 +575,9 @@ def merge_group_result(
     ctx.records.extend(result.records)
     engine.counts.merge_counts(result.kind_counts, offloaded=offloaded)
     engine.counts.note_depth(result.depth)
+    if result.policy is not None:
+        winners = engine.race_winners
+        winners[result.policy] = winners.get(result.policy, 0) + 1
     return [rename.get(sig, sig) for sig in result.outputs]
 
 
@@ -837,14 +712,7 @@ class Engine:
             self.context, make_policy(config), self.counts
         )
         self.executor = make_executor(config)
-        self.race_policies = parse_policy_spec(config.policy)
-        self.racing = len(self.race_policies) > 1
-        self.race_counts = {
-            "race_groups": 0,
-            "race_candidates": 0,
-            "race_losers_cancelled": 0,
-            "race_failures": 0,
-        }
+        self.racing = len(parse_policy_spec(config.policy)) > 1
         self.race_winners: dict[str, int] = {}
         self.group_cache = None
         if config.cache_db is not None:
@@ -869,19 +737,15 @@ class Engine:
             return None
         return getattr(self.emitter.policy, "kernel", None)
 
-    def note_race_winner(self, policy: str) -> None:
-        """Count one raced group decided in favour of ``policy``."""
-        self.race_winners[policy] = self.race_winners.get(policy, 0) + 1
-
     def stats(self) -> EngineStats:
         """Report-ready counters for the run's ``engine`` section.
 
         Folds the executor's reliability counters (retries, timeouts,
-        degradations, faults), the result-cache counters and the
-        portfolio-race counters into the step counts.
+        degradations, faults) and the result-cache counters into the
+        step counts.
         """
         stats = self.counts.stats(self.executor.name, self.executor.workers)
         stats = dc_replace(stats, **self.executor.reliability())
         if self.group_cache is not None:
             stats = dc_replace(stats, **self.group_cache.counters())
-        return dc_replace(stats, **self.race_counts)
+        return stats

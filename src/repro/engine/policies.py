@@ -280,10 +280,10 @@ class FlatLadderPolicy(LadderPeelPolicy):
 def make_policy(config: "FlowConfig") -> DecomposePolicy:
     """Resolve ``FlowConfig.policy`` to an instance.
 
-    A ``race:`` spec resolves to its *first* candidate -- that is the
-    policy the parent engine's own emitter uses for paths that cannot
-    race (the degraded in-parent fallback); the executors run the full
-    portfolio through :func:`parse_policy_spec` themselves.
+    A ``race:`` spec resolves to its *first* candidate.  The engine's
+    own emitter never maps a raced group (a race always runs through
+    :func:`repro.engine.worker.run_group`, which resolves each candidate
+    separately), so that resolution only lets the emitter be built.
     """
     candidates = parse_policy_spec(config.policy)
     factory = POLICIES.get(candidates[0])

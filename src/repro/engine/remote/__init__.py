@@ -6,7 +6,7 @@ subproblem a self-contained, manager-free value.  This package ships
 that value across *hosts* instead of processes:
 
 - :mod:`repro.engine.remote.wire` -- the JSON schemas
-  (``repro-remote-task/1`` / ``repro-remote-result/1``) that carry a
+  (``repro-remote-task/1`` / ``repro-remote-result/2``) that carry a
   :class:`repro.engine.worker.GroupPayload` to a worker and a
   :class:`repro.engine.worker.GroupResult` back.
 - :mod:`repro.engine.remote.broker` -- the task board behind
@@ -21,9 +21,10 @@ that value across *hosts* instead of processes:
 - :mod:`repro.engine.remote.executor` -- :class:`RemoteExecutor`, the
   ``--executor remote`` seam.  It subclasses the process executor and
   overrides only future creation, so retries, degrade-to-serial at the
-  merge position, the result cache (and with it resume), racing, and the
+  merge position, the result cache (and with it resume) and the
   deterministic merge order are inherited unchanged -- the mapped BLIF
-  is byte-identical to a serial run.
+  is byte-identical to a serial run.  A raced group is one task: the
+  worker races its candidates itself.
 
 See ``docs/DISTRIBUTED.md`` for topology, wire formats and lease
 semantics.

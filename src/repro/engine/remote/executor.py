@@ -7,9 +7,10 @@ futures with broker-backed :class:`_RemoteFuture` objects that speak the
 and ``cancel()``).  Everything above the seam is inherited verbatim:
 the retry ladder with exponential backoff, per-attempt fault arming,
 degrade-to-serial at the merge position, result-cache replay (which is
-also how an interrupted run resumes), policy-portfolio racing, and the
-sequential in-order merge that makes the mapped BLIF byte-identical to a
-serial run.
+also how an interrupted run resumes), and the sequential in-order merge
+that makes the mapped BLIF byte-identical to a serial run.  A raced
+group travels as one task, and its lease bounds all its candidates
+together.
 
 Dead-host mapping: a worker that dies mid-group simply never posts its
 result.  The broker's lease expires and requeues the task once (fault

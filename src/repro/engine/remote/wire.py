@@ -12,9 +12,10 @@ Two envelopes exist:
   a :class:`repro.bdd.transfer.PortableDag`, the frontier signal names,
   the flow configuration, and an optional armed fault -- plus the lease
   the coordinator grants (``lease_seconds``) and the requeue budget;
-- a **result** (``repro-remote-result/1``) carries the worker's
+- a **result** (``repro-remote-result/2``) carries the worker's
   :class:`repro.engine.worker.GroupResult` back (in the portable JSON
-  form the result cache stores), or a typed error.
+  form the result cache stores, with a raced group's winner), or a typed
+  error.
 
 The configuration travels with every task because workers are
 stateless: any worker can serve any coordinator.  Transport-only knobs
@@ -42,7 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only
 TASK_SCHEMA = "repro-remote-task/1"
 
 #: Schema tag of result envelopes (worker -> coordinator via broker).
-RESULT_SCHEMA = "repro-remote-result/1"
+#: Version 2 results carry a raced group's winning policy.  A version 1
+#: worker would map a ``race:`` payload with its first candidate only,
+#: so the broker refuses its results.
+RESULT_SCHEMA = "repro-remote-result/2"
 
 #: FlowConfig fields that never travel (coordinator-local runtime state).
 _CONFIG_SKIP = frozenset({"fault_plan"})

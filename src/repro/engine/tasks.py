@@ -59,17 +59,6 @@ class EngineStats:
         cache_stores: freshly computed group results written to the cache.
         cache_rejects: cached payloads discarded because verification
             against the requested functions failed (collision/corruption).
-        race_groups: output groups decided by a policy-portfolio race
-            (``FlowConfig.policy = "race:..."``).
-        race_candidates: candidate policy runs dispatched across all
-            raced groups (``race_groups`` x portfolio size, minus any
-            replayed from the result cache).
-        race_losers_cancelled: losing candidate submissions cancelled
-            before they ran (pool futures revoked once the group's
-            winner was decided or the run was interrupted).
-        race_failures: candidate runs that failed permanently and were
-            excluded from their group's race (the race proceeds as long
-            as one candidate survives).
         remote: nested counters of the remote executor (broker address,
             ``tasks_submitted``, ``tasks_completed``, ``lease_expiries``,
             ``broker_errors``); None for every other executor, and
@@ -95,10 +84,6 @@ class EngineStats:
     cache_misses: int = 0
     cache_stores: int = 0
     cache_rejects: int = 0
-    race_groups: int = 0
-    race_candidates: int = 0
-    race_losers_cancelled: int = 0
-    race_failures: int = 0
     remote: dict | None = None
 
     def as_dict(self) -> dict:

@@ -11,7 +11,10 @@ with fresh names (see :func:`repro.engine.executors.merge_group_result`).
 Workers force ``jobs=1`` and the serial executor internally, so no nested
 process pools are spawned, and they run untraced (the parent's spans
 around submit/collect still time them; step counts and the deepest
-recursion are merged back via ``kind_counts`` and ``depth``).
+recursion are merged back via ``kind_counts`` and ``depth``).  A
+``race:`` policy is raced here, inside the group's one task: every
+candidate maps the group and the cheapest result comes back, naming its
+winner in ``policy``.
 
 The same two types key and fill the persistent result cache
 (:mod:`repro.cache`), the one store a re-run replays finished groups
@@ -81,7 +84,8 @@ class GroupResult:
 
     ``depth`` is the deepest recursion level the group reached (1 for a
     group that needed no smaller vector); the merge folds it into
-    ``queue_depth_max``.
+    ``queue_depth_max``.  ``policy`` names the candidate that won a raced
+    group, and is None for a group mapped by one policy.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -89,19 +93,21 @@ class GroupResult:
     records: tuple["GroupRecord", ...]
     kind_counts: dict[str, int]
     depth: int = 0
+    policy: str | None = None
 
 
 def run_group(payload: GroupPayload) -> GroupResult:
     """Map one group on a private manager.
 
     The entry point of every portable group run: pool and remote workers
-    call it, and so does the serial executor's in-process future.
+    call it, and so do the serial executor's in-process future and a
+    degraded group.  A ``race:`` policy maps the group once per
+    candidate, each on a fresh manager, and keeps the first minimum of
+    ``(target.group_cost(nodes), spec index)``, so the winner does not
+    depend on where or when the group ran.
     """
-    from repro.engine.emitter import EmitContext, VectorEmitter
-    from repro.engine.executors import drain_groups
-    from repro.engine.policies import make_policy
-    from repro.engine.tasks import TaskCounts
-    from repro.network.network import Network
+    from repro.engine.policies import parse_policy_spec
+    from repro.targets import make_target
 
     perform_fault(payload.fault, in_worker=True)
     config = replace(
@@ -112,6 +118,27 @@ def run_group(payload: GroupPayload) -> GroupResult:
         fault_plan=None,
         cache_db=None,  # the parent owns the single store connection
     )
+    candidates = parse_policy_spec(config.policy)
+    if len(candidates) == 1:
+        return _map_group(payload, config)
+    target = make_target(config.target)
+    best: tuple[tuple, GroupResult] | None = None
+    for policy in candidates:
+        result = _map_group(payload, replace(config, policy=policy))
+        cost = target.group_cost(result.nodes)
+        if best is None or cost < best[0]:
+            best = (cost, replace(result, policy=policy))
+    return best[1]
+
+
+def _map_group(payload: GroupPayload, config: "FlowConfig") -> GroupResult:
+    """Map the payload's group under one concrete policy on a fresh manager."""
+    from repro.engine.emitter import EmitContext, VectorEmitter
+    from repro.engine.executors import drain_groups
+    from repro.engine.policies import make_policy
+    from repro.engine.tasks import TaskCounts
+    from repro.network.network import Network
+
     bdd = BDD()
     roots = import_dag(bdd, payload.dag)
 
@@ -217,6 +244,7 @@ def result_to_json(result: GroupResult) -> dict:
         ],
         "kind_counts": dict(result.kind_counts),
         "depth": result.depth,
+        "policy": result.policy,
     }
 
 
@@ -225,12 +253,14 @@ def result_from_json(payload: dict) -> GroupResult:
 
     The counts are read as ints: the payload is input from outside the
     program, and they feed the run's statistics unchecked.  A payload
-    without ``depth`` (stored before results carried it) reads 0.  A
-    malformed payload raises ``KeyError``, ``TypeError`` or ``ValueError``.
+    without ``depth`` or ``policy`` (stored before results carried them)
+    reads 0 or None.  A malformed payload, including a ``policy`` that is
+    neither a string nor None, raises ``KeyError``, ``TypeError`` or
+    ``ValueError``.
     """
     from repro.mapping.flow import GroupRecord
 
-    return GroupResult(
+    result = GroupResult(
         nodes=tuple(
             NodeSpec(
                 name,
@@ -251,4 +281,8 @@ def result_from_json(payload: dict) -> GroupResult:
             for kind, count in dict(payload["kind_counts"]).items()
         },
         depth=int(payload.get("depth", 0)),
+        policy=payload.get("policy"),
     )
+    if result.policy is not None and not isinstance(result.policy, str):
+        raise ValueError(f"group result policy {result.policy!r} is not a string")
+    return result

@@ -96,18 +96,11 @@ class FlowConfig:
             raise ValueError(
                 f"unknown executor {self.executor!r} (have: {sorted(EXECUTORS)})"
             )
-        candidates = parse_policy_spec(self.policy)
-        for candidate in candidates:
+        for candidate in parse_policy_spec(self.policy):
             if candidate not in POLICIES:
                 raise ValueError(
                     f"unknown policy {candidate!r} (have: {sorted(POLICIES)})"
                 )
-        if len(candidates) > 1 and self.fault_plan is not None:
-            raise ValueError(
-                "a race: policy cannot be combined with fault injection "
-                "(fault plans are keyed by group ordinal; racing "
-                "multiplies the submissions per group)"
-            )
         if self.ladder_cap < self.k:
             raise ValueError("ladder_cap below k leaves no ladder at all")
         if self.peel_rounds < 0:
@@ -188,18 +181,27 @@ class PreparedRun:
         for group, signals in zip(self.groups, group_signals):
             for i, sig in zip(group, signals):
                 output_signals[self.out_names[i]] = sig
-        lut = self.engine.context.lut
-        lut.set_outputs(sorted(set(output_signals.values())))
-        check_k_feasible(lut, self.config.k)
-        return FlowResult(
-            network=lut,
-            output_signals=output_signals,
-            config=self.config,
-            records=self.engine.context.records,
-            bdd_stats=BddStats.from_manager(self.engine.context.bdd),
-            engine_stats=self.engine.stats(),
-            race_winners=dict(self.engine.race_winners),
-        )
+        return flow_result(self.engine, output_signals)
+
+
+def flow_result(engine: Engine, output_signals: dict[str, str]) -> FlowResult:
+    """Package one engine's mapped network as a :class:`FlowResult`.
+
+    Sets the network's outputs to the bound signals and checks that every
+    node fits the LUT width; both flows end here.
+    """
+    ctx = engine.context
+    ctx.lut.set_outputs(sorted(set(output_signals.values())))
+    check_k_feasible(ctx.lut, engine.config.k)
+    return FlowResult(
+        network=ctx.lut,
+        output_signals=output_signals,
+        config=engine.config,
+        records=ctx.records,
+        bdd_stats=BddStats.from_manager(ctx.bdd),
+        engine_stats=engine.stats(),
+        race_winners=dict(engine.race_winners),
+    )
 
 
 def prepare_synthesis(network: Network, config: FlowConfig) -> PreparedRun:

@@ -26,27 +26,12 @@ rows equal the collapsed-flow results.
 from __future__ import annotations
 
 from repro import observe
-from repro.bdd.manager import BDD, FALSE, TRUE
+from repro.bdd.manager import BDD
 from repro.engine import Engine
-from repro.mapping.flow import FlowConfig, FlowResult
-from repro.mapping.lut import check_k_feasible
+from repro.mapping.flow import FlowConfig, FlowResult, flow_result
+from repro.network.collapse import cover_function
 from repro.network.network import Network
-from repro.observe.stats import BddStats
 from repro.partitioning.outputs import partition_outputs
-
-
-def _build_rep(bdd: BDD, cover, fanin_reps: list[int]) -> int:
-    """Function of a node over the current frontier, from its SOP cover."""
-    acc = FALSE
-    for cube in cover.cubes:
-        term = TRUE
-        for j, polarity in cube.literals().items():
-            fn = fanin_reps[j]
-            term = bdd.apply_and(term, fn if polarity else bdd.apply_not(fn))
-            if term == FALSE:
-                break
-        acc = bdd.apply_or(acc, term)
-    return acc
 
 
 def partial_collapse(
@@ -83,7 +68,7 @@ def partial_collapse(
     for name in network.topological_order():
         node = network.nodes[name]
         fanin_reps = [rep[f] for f in node.fanins]
-        r = _build_rep(bdd, node.cover, fanin_reps)
+        r = cover_function(bdd, node.cover, fanin_reps)
         if len(bdd.support(r)) > max_support:
             # Promote the widest internal fanins until the function fits.
             candidates = sorted(
@@ -95,7 +80,7 @@ def partial_collapse(
                     break  # literal-sized reps cannot reduce the support
                 promote(f)
                 fanin_reps = [rep[g] for g in node.fanins]
-                r = _build_rep(bdd, node.cover, fanin_reps)
+                r = cover_function(bdd, node.cover, fanin_reps)
                 if len(bdd.support(r)) <= max_support:
                     break
         rep[name] = r
@@ -191,14 +176,6 @@ def synthesize_structural(
                 if sig in emitted and lvl not in signal_of_level:
                     signal_of_level[lvl] = emitted[sig]
 
-    output_signals = {name: emitted[name] for name in network.outputs}
-    lut.set_outputs(sorted(set(output_signals.values())))
-    check_k_feasible(lut, config.k)
-    return FlowResult(
-        network=lut,
-        output_signals=output_signals,
-        config=config,
-        records=engine.context.records,
-        bdd_stats=BddStats.from_manager(bdd),
-        engine_stats=engine.stats(),
+    return flow_result(
+        engine, {name: emitted[name] for name in network.outputs}
     )

@@ -11,9 +11,13 @@ network in topological order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 from repro.bdd.manager import BDD, FALSE, TRUE
 from repro.network.network import Network
+
+if TYPE_CHECKING:  # pragma: no cover - type-only
+    from repro.boolfunc.sop import Sop
 
 
 class CollapseOverflow(RuntimeError):
@@ -33,6 +37,25 @@ class CollapsedNetwork:
         return sorted(self.input_levels, key=self.input_levels.get)
 
 
+def cover_function(bdd: BDD, cover: "Sop", fanins: Sequence[int]) -> int:
+    """The BDD of ``cover`` with its variable ``j`` bound to ``fanins[j]``.
+
+    The one bottom-up evaluation step of a cover: collapsing, partial
+    collapsing, equivalence checking, don't-care computation and the
+    result cache's proof of a hit all build a node's function with it.
+    """
+    acc = FALSE
+    for cube in cover.cubes:
+        term = TRUE
+        for j, polarity in cube.literals().items():
+            fn = fanins[j]
+            term = bdd.apply_and(term, fn if polarity else bdd.apply_not(fn))
+            if term == FALSE:
+                break
+        acc = bdd.apply_or(acc, term)
+    return acc
+
+
 def collapse(network: Network, max_nodes: int | None = None) -> CollapsedNetwork:
     """Build a BDD per primary output over the primary inputs.
 
@@ -49,16 +72,9 @@ def collapse(network: Network, max_nodes: int | None = None) -> CollapsedNetwork
 
     for name in network.topological_order():
         node = network.nodes[name]
-        result = FALSE
-        for cube in node.cover.cubes:
-            term = TRUE
-            for j, polarity in cube.literals().items():
-                fanin = values[node.fanins[j]]
-                term = bdd.apply_and(term, fanin if polarity else bdd.apply_not(fanin))
-                if term == FALSE:
-                    break
-            result = bdd.apply_or(result, term)
-        values[name] = result
+        values[name] = cover_function(
+            bdd, node.cover, [values[f] for f in node.fanins]
+        )
         if max_nodes is not None and bdd.num_nodes > max_nodes:
             raise CollapseOverflow(
                 f"collapse of {network.name!r} exceeded {max_nodes} BDD nodes"

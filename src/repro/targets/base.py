@@ -1,16 +1,17 @@
 """The technology-target protocol: what a cost model must provide.
 
 The decomposition theory (Defs 1-6, the subset-DP, Lmax/chi) is
-target-agnostic -- only three questions are technology-specific:
+target-agnostic -- only two questions are technology-specific:
 
 1. **feasibility** -- when does a function stop decomposing and become one
    cell?  (``feasible``: support fits the cell's input count);
 2. **cost** -- which of several candidate decompositions is cheaper?
    (``candidate_key`` ranks in-flight decomposition attempts,
    ``group_cost`` ranks finished sub-networks, ``network_cost`` prices a
-   whole mapped network in target units);
-3. **emission** -- how does the mapped network leave the flow?
-   (``emit``: the netlist adapter; every shipped target emits BLIF).
+   whole mapped network in target units).
+
+Every target's mapped network leaves the flow as BLIF
+(:func:`repro.io.blif.write_blif`).
 
 :class:`TechTarget` is the protocol, :class:`TargetCost` the priced
 result.  Implementations live in :mod:`repro.targets.xc3000`
@@ -69,10 +70,6 @@ class TechTarget(Protocol):
         """Whether a function of ``num_inputs`` variables fits one cell."""
         ...
 
-    def lut_cost(self, num_inputs: int) -> int:
-        """Cost of one emitted cell with ``num_inputs`` fanins."""
-        ...
-
     def candidate_key(
         self, progressing: Sequence[int], num_functions: int, g_inputs: int
     ) -> tuple:
@@ -94,10 +91,6 @@ class TechTarget(Protocol):
 
     def network_cost(self, network: "Network") -> TargetCost:
         """Price a whole mapped network in target units (CLI reporting)."""
-        ...
-
-    def emit(self, network: "Network") -> str:
-        """Serialize the mapped network for this target (BLIF text)."""
         ...
 
 

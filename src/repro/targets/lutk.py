@@ -35,10 +35,6 @@ class LutTarget:
         """A function fits one LUT when its support fits the inputs."""
         return num_inputs <= self.k
 
-    def lut_cost(self, num_inputs: int) -> int:
-        """Unit cost per LUT, independent of how many inputs it uses."""
-        return 1
-
     def candidate_key(
         self, progressing: Sequence[int], num_functions: int, g_inputs: int
     ) -> tuple:
@@ -75,9 +71,3 @@ class LutTarget:
                 ),
             )
         return TargetCost(luts=luts, units=luts, unit_name="LUT")
-
-    def emit(self, network: "Network") -> str:
-        """BLIF text (all shipped targets emit BLIF)."""
-        from repro.io.blif import write_blif
-
-        return write_blif(network)

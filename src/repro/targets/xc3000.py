@@ -33,10 +33,6 @@ class Xc3000Target:
         """One function generator hosts up to 5 inputs."""
         return num_inputs <= self.k
 
-    def lut_cost(self, num_inputs: int) -> int:
-        """Every LUT occupies (at worst) one CLB half; constants are free."""
-        return 1
-
     def candidate_key(
         self, progressing: Sequence[int], num_functions: int, g_inputs: int
     ) -> tuple:
@@ -65,9 +61,3 @@ class Xc3000Target:
                 f"{len(packing.pairs)} paired, {len(packing.singles)} single"
             ),
         )
-
-    def emit(self, network: "Network") -> str:
-        """BLIF text, byte-identical to the historical emitter."""
-        from repro.io.blif import write_blif
-
-        return write_blif(network)

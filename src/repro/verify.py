@@ -23,9 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from repro.bdd.manager import FALSE, TRUE
+from repro.bdd.manager import FALSE
 from repro.errors import VerificationError
-from repro.network.collapse import CollapsedNetwork, CollapseOverflow, collapse
+from repro.network.collapse import (
+    CollapsedNetwork,
+    CollapseOverflow,
+    collapse,
+    cover_function,
+)
 from repro.network.network import Network
 from repro.network.simulate import input_vectors
 
@@ -81,14 +86,9 @@ def network_bdds(
     }
     for name in net.topological_order():
         node = net.nodes[name]
-        acc = FALSE
-        for cube in node.cover.cubes:
-            term = TRUE
-            for j, polarity in cube.literals().items():
-                fn = values[node.fanins[j]]
-                term = bdd.apply_and(term, fn if polarity else bdd.apply_not(fn))
-            acc = bdd.apply_or(acc, term)
-        values[name] = acc
+        values[name] = cover_function(
+            bdd, node.cover, [values[f] for f in node.fanins]
+        )
         if max_nodes is not None and bdd.num_nodes > max_nodes:
             raise CollapseOverflow("equivalence BDDs exceeded the node budget")
     return values

@@ -9,6 +9,8 @@ resumes an interrupted one depends on both staying stable.
 
 import json
 
+import pytest
+
 from repro.bdd.transfer import PortableDag
 from repro.engine.worker import (
     GroupPayload,
@@ -32,6 +34,7 @@ def sample_result() -> GroupResult:
         records=(GroupRecord(2, 3, 4, 5),),
         kind_counts={"decompose-vector": 1, "emit-lut": 2},
         depth=3,
+        policy="flat-ladder",
     )
 
 
@@ -80,6 +83,7 @@ class TestResultRoundTrip:
         ]
         assert back.kind_counts == result.kind_counts
         assert back.depth == 3
+        assert back.policy == "flat-ladder"
 
     def test_a_payload_without_depth_still_decodes(self):
         # Entries stored before results carried their recursion depth
@@ -89,6 +93,20 @@ class TestResultRoundTrip:
         back = result_from_json(payload)
         assert back.depth == 0
         assert back.nodes == sample_result().nodes
+
+    def test_a_payload_without_policy_reads_none(self):
+        # Entries stored before results named a race's winner replay
+        # as unraced groups.
+        payload = result_to_json(sample_result())
+        del payload["policy"]
+        assert result_from_json(payload).policy is None
+
+    @pytest.mark.parametrize("policy", [1, ["flat-ladder"], {"a": 1}, True])
+    def test_a_non_string_policy_is_malformed(self, policy):
+        payload = result_to_json(sample_result())
+        payload["policy"] = policy
+        with pytest.raises(ValueError, match="policy"):
+            result_from_json(payload)
 
     def test_fingerprint_tracks_the_functions(self):
         config = FlowConfig()

@@ -1,19 +1,29 @@
-"""Policy-portfolio racing: determinism, winner selection, accounting.
+"""Policy-portfolio racing: determinism, winner selection, accounting,
+recovery.
 
 The contract under test (see ``docs/TARGETS.md``): a ``race:p1,p2,...``
-policy spec fans each output group out to every candidate policy, the
-cheapest mapped group under the technology target wins (ties break by
-spec order), and the whole flow stays **deterministic** -- the same
-winner and byte-identical BLIF on every run, under either executor.
+policy spec maps each output group with every candidate policy inside the
+group's one task, the cheapest mapped group under the technology target
+wins (ties break by spec order), and the whole flow stays
+**deterministic** -- the same winner and byte-identical BLIF on every
+run, under either executor, and through retries, degradation and
+result-cache replay.
 """
 
 import pytest
 
 from repro.algebraic.rugged import rugged
 from repro.benchcircuits.registry import get_circuit
+from repro.engine.faults import parse_fault_plan
 from repro.engine.policies import POLICIES, parse_policy_spec
 from repro.io.blif import write_blif
-from repro.mapping.flow import FlowConfig, synthesize, verify_flow
+from repro.mapping.flow import (
+    FlowConfig,
+    prepare_synthesis,
+    synthesize,
+    verify_flow,
+)
+from repro.mapping.structural import synthesize_structural
 from repro.targets import make_target
 from tests.mapping.test_flow import ones_count_network
 
@@ -48,12 +58,6 @@ class TestConfigGuards:
     def test_unknown_candidate_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):
             FlowConfig(policy="race:ladder-peel,warp-speed")
-
-    def test_race_conflicts_with_fault_injection(self):
-        from repro.engine.faults import parse_fault_plan
-
-        with pytest.raises(ValueError, match="fault"):
-            FlowConfig(policy=RACE, fault_plan=parse_fault_plan("kill@0"))
 
 
 class TestRaceDeterminism:
@@ -112,29 +116,70 @@ class TestWinnerSelection:
         assert all(wins > 0 for wins in result.race_winners.values())
 
 
+def group_count(net, config: FlowConfig) -> int:
+    return len(prepare_synthesis(net, config).groups)
+
+
 class TestRaceAccounting:
     def test_counters_track_groups_and_candidates(self):
-        result = synthesize(ones_count_network(6, 3), FlowConfig(policy=RACE))
-        stats = result.engine_stats
-        assert stats.race_groups > 0
-        assert stats.race_candidates == stats.race_groups * len(POLICIES)
-        assert stats.race_failures == 0
-        assert sum(result.race_winners.values()) == stats.race_groups
-
-    def test_process_executor_cancels_losers(self):
-        result = synthesize(
-            ones_count_network(6, 3),
-            FlowConfig(policy=RACE, executor="process", jobs=2),
+        # Every raced group counts exactly one winner, and only
+        # candidates of the spec win.
+        net = ones_count_network(6, 3)
+        result = synthesize(net, FlowConfig(policy=RACE))
+        assert set(result.race_winners) <= set(POLICIES)
+        assert sum(result.race_winners.values()) == group_count(
+            net, FlowConfig(policy=RACE)
         )
-        stats = result.engine_stats
-        assert stats.race_groups > 0
-        # Losers are cancelled after the winner is picked; the serial
-        # executor runs candidates to completion in-line instead.
-        assert stats.race_losers_cancelled >= 0
 
     def test_single_policy_runs_do_not_race(self):
         result = synthesize(ones_count_network(6, 3), FlowConfig())
-        stats = result.engine_stats
-        assert stats.race_groups == 0
-        assert stats.race_candidates == 0
         assert result.race_winners == {}
+
+
+RECOVERY_CIRCUITS = ["alu2", "misex2"]
+
+
+def raced(**kwargs) -> FlowConfig:
+    return FlowConfig(policy=RACE, retry_backoff=0.0, **kwargs)
+
+
+class TestRaceRecovery:
+    """Degradation and replay keep a raced run's bytes and its winners."""
+
+    @pytest.mark.parametrize("name", RECOVERY_CIRCUITS)
+    @pytest.mark.parametrize("plan,executor", [
+        ("drop@0", {}),
+        ("kill@1", {"executor": "process", "jobs": 2}),
+    ], ids=["serial-drop", "process-kill"])
+    def test_a_degraded_group_still_races(self, name, plan, executor):
+        net = get_circuit(name).build()
+        clean = synthesize(net, raced())
+        faulty = synthesize(net, raced(
+            fault_plan=parse_fault_plan(plan), task_retries=0, **executor
+        ))
+        assert write_blif(faulty.network) == write_blif(clean.network)
+        assert faulty.engine_stats.groups_degraded >= 1
+        assert faulty.race_winners == clean.race_winners
+        assert sum(faulty.race_winners.values()) == group_count(net, raced())
+
+    @pytest.mark.parametrize("executor", [
+        {}, {"executor": "process", "jobs": 2},
+    ], ids=["serial", "process"])
+    def test_a_warm_replay_reports_the_cold_winners(self, executor, tmp_path):
+        net = get_circuit("alu2").build()
+        config = raced(cache_db=str(tmp_path / "cache.db"), **executor)
+        cold = synthesize(net, config)
+        warm = synthesize(net, config)
+        assert warm.engine_stats.cache_hits == group_count(net, config)
+        assert write_blif(warm.network) == write_blif(cold.network)
+        assert cold.race_winners
+        assert warm.race_winners == cold.race_winners
+
+
+class TestStructuralRace:
+    def test_structural_race_reports_its_winners(self):
+        net = get_circuit("misex2").build()
+        rugged(net)
+        result = synthesize_structural(net, FlowConfig(policy=RACE))
+        assert result.race_winners
+        assert set(result.race_winners) <= set(POLICIES)

@@ -33,7 +33,11 @@ from repro.engine.remote import (
     run_worker,
 )
 from repro.engine.remote.executor import CONNECT_WAIT_SECONDS
-from repro.engine.remote.wire import TASK_SCHEMA
+from repro.engine.remote.wire import (
+    TASK_SCHEMA,
+    RemoteWireError,
+    parse_result,
+)
 from repro.errors import FaultInjected
 from repro.io.blif import write_blif
 from repro.mapping.flow import FlowConfig, synthesize
@@ -408,3 +412,18 @@ class TestMalformedRequests:
         assert post_raw(address, path, body) == 400
         assert BrokerClient(address).healthz() == {"status": "ok"}
         assert b.stats()["counters"]["tasks_submitted"] == 0
+
+
+class TestResultSchema:
+    def test_a_version_1_result_is_refused(self):
+        # A version 1 worker maps a raced payload with its first
+        # candidate only; its results must not reach a coordinator.
+        envelope = {
+            "schema": "repro-remote-result/1",
+            "id": "t1",
+            "worker": "old",
+            "ok": True,
+            "result": {},
+        }
+        with pytest.raises(RemoteWireError, match="repro-remote-result/2"):
+            parse_result(envelope)

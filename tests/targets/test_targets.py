@@ -177,11 +177,6 @@ class TestNetworkCost:
         assert cost.unit_name == "LUT"
         assert cost.detail == ""
 
-    def test_emit_is_blif(self):
-        text = Xc3000Target().emit(two_lut_network())
-        assert text.startswith(".model tiny")
-        assert text == LutTarget(5).emit(two_lut_network())
-
 
 class TestReportSection:
     def test_minimal_section(self):
