@@ -6,16 +6,17 @@ This bench compares:
 
 - ``greedy``  -- the paper's heuristic (trial decompositions, undo on
   gain decrease);
-- ``fast``    -- the future-work variant: trial-free grouping by support
-  overlap (``partition_outputs_fast``);
 - ``none``    -- every output alone (equivalent to single-output flow in
   grouping terms but still using the implicit decomposer).
 
 The full run covers every collapsed Table 2 row except alu4 (whose greedy
 row alone takes over a minute; see ``bench_table2_xc3000.py``), with that
 bench's group caps, and records each row's CLBs and seconds; the totals
-show whether ``fast`` buys its lost CLBs back in time.  Greedy <= none in
-CLBs (sharing helps) is asserted on every row.
+show what the trials cost and what they buy.  Greedy <= none in CLBs
+(sharing helps) is asserted on every row.  A trial-free grouping by
+support overlap, the future work the paper suggests, was measured here
+and deleted: it packed 1,090 CLBs in 105.1 s against the greedy's 1,010
+in 5.8 s (EXPERIMENTS.md).
 """
 
 import time
@@ -31,7 +32,7 @@ from repro.mapping.xc3000 import pack_xc3000
 MODULE = "ablation_output_partitioning"
 QUICK_SET = ["rd73", "z4ml", "5xp1", "f51m"]
 CIRCUITS = QUICK_SET if QUICK else [c for c in FULL_SET if c != "alu4"]
-GROUPINGS = ["greedy", "fast", "none"]
+GROUPINGS = ["greedy", "none"]
 
 _rows: dict[str, dict[str, tuple[int, float]]] = {}
 
@@ -60,8 +61,6 @@ def _report():
 def _config(grouping: str, cap: int | None) -> FlowConfig:
     if grouping == "greedy":
         return FlowConfig(k=5, mode="multi", max_group=cap)
-    if grouping == "fast":
-        return FlowConfig(k=5, mode="multi", output_grouping="fast", max_group=cap)
     if grouping == "none":
         return FlowConfig(k=5, mode="multi", use_output_partitioning=False)
     raise ValueError(grouping)

@@ -137,13 +137,9 @@ class Sop:
         """Build the cover in a BDD manager over the given levels."""
         if len(levels) != self.num_vars:
             raise ValueError("need one level per variable")
-        from repro.bdd.manager import FALSE
+        from repro.network.collapse import cover_function
 
-        result = FALSE
-        for cube in self.cubes:
-            literals = {levels[j]: pol for j, pol in cube.literals().items()}
-            result = bdd.apply_or(result, bdd.cube(literals))
-        return result
+        return cover_function(bdd, self, [bdd.var(lvl) for lvl in levels])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Sop(num_vars={self.num_vars}, cubes={[str(c) for c in self.cubes]})"

@@ -7,14 +7,13 @@ cofactor of ``f`` at each bound-set vertex, ``g`` is assembled as
 
 where all vertices sharing a code are guaranteed compatible (the product of
 the ``Pi_d`` refines ``Pi_f``), so any vertex of the code block can supply
-the cofactor.  Codes never produced by ``d`` are don't-cares; they default to
-0, which keeps ``f(x, y) == g(d(x), y)`` exact while leaving room for the
-optional don't-care filling strategies.
+the cofactor.  Codes never produced by ``d`` are don't-cares; ``g`` is 0
+on them, which keeps ``f(x, y) == g(d(x), y)`` exact.
 """
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Sequence
 
 from repro.bdd.manager import BDD, FALSE
 
@@ -34,16 +33,13 @@ def build_g(
     code_levels: Sequence[int],
     codes: Sequence[int],
     cofactors: Sequence[int],
-    dc_fill: Literal["zero", "nearest"] = "zero",
 ) -> int:
     """Build the composition function ``g`` as a BDD node.
 
     ``codes[x]`` is the code of bound-set vertex ``x``; ``cofactors[x]`` is
     the BDD of ``f`` at that vertex (a function of the free variables).
     ``code_levels`` are the BDD levels of the ``w`` inputs of ``g`` (LSB
-    first).  ``dc_fill`` controls unused codes: ``"zero"`` leaves them 0,
-    ``"nearest"`` maps each unused code to the used code at minimum Hamming
-    distance (a mild BDD-size optimization).
+    first).  ``g`` is 0 on every unused code.
     """
     if len(codes) != len(cofactors):
         raise ValueError("need one code per vertex")
@@ -55,13 +51,6 @@ def build_g(
         if code >= (1 << c):
             raise ValueError(f"code {code} does not fit in {c} bits")
         by_code[code] = cof
-
-    if dc_fill == "nearest" and by_code:
-        used = sorted(by_code)
-        for code in range(1 << c):
-            if code not in by_code:
-                nearest = min(used, key=lambda u: ((u ^ code).bit_count(), u))
-                by_code[code] = by_code[nearest]
 
     g = FALSE
     for code, cof in sorted(by_code.items()):

@@ -10,7 +10,7 @@ the classical Roth--Karp construction and the "Single" baseline of Table 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Sequence
 
 from repro.bdd.manager import BDD
 from repro.boolfunc.truthtable import TruthTable
@@ -66,7 +66,6 @@ def decompose_single(
     bs_levels: Sequence[int],
     fs_levels: Sequence[int],
     code_prefix: str = "w",
-    dc_fill: Literal["zero", "nearest"] = "zero",
 ) -> SingleDecomposition:
     """Classical strict decomposition of a single output.
 
@@ -95,7 +94,7 @@ def decompose_single(
     d_tables = codes_mod.d_tables_from_codes(partition, class_codes, c)
     d_nodes = [t.to_bdd(bdd, bs) for t in d_tables]
     vertex_codes = codes_mod.codes_from_d_tables(d_tables) if c else [0] * (1 << len(bs))
-    g_node = build_g(bdd, code_levels, vertex_codes, cofactors, dc_fill=dc_fill)
+    g_node = build_g(bdd, code_levels, vertex_codes, cofactors)
 
     return SingleDecomposition(
         bs_levels=bs,

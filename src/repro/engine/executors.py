@@ -99,6 +99,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only (flow imports engine)
     from repro.mapping.flow import FlowConfig
     from repro.partitioning.kernel import BoundSetKernel
 
+#: Base of the exponential retry backoff: the n-th retry of a group sleeps
+#: ``RETRY_BACKOFF_SECONDS * 2**(n-1)`` seconds.
+RETRY_BACKOFF_SECONDS = 0.05
+
 #: Hard ceiling on one backoff sleep, whatever the retry count.
 MAX_BACKOFF_SECONDS = 2.0
 
@@ -289,7 +293,7 @@ class ProcessExecutor:
                 elif (result := self._await(engine, sub, faults)) is not None:
                     offloaded = self.offloads
                 else:
-                    result = self._degrade(engine, sub, faults)
+                    result = self._degrade(sub, faults)
                     offloaded = False
                 results.append(
                     merge_group_result(engine, result, offloaded=offloaded)
@@ -359,7 +363,7 @@ class ProcessExecutor:
             observe.add("tasks_retried")
             time.sleep(
                 min(
-                    config.retry_backoff * (2 ** (sub.attempt - 1)),
+                    RETRY_BACKOFF_SECONDS * (2 ** (sub.attempt - 1)),
                     MAX_BACKOFF_SECONDS,
                 )
             )
@@ -416,9 +420,7 @@ class ProcessExecutor:
         sub.failures.append(record)
         observe.failure(**record)
 
-    def _degrade(
-        self, engine: "Engine", sub: Submission, faults: ResolvedFaults
-    ) -> GroupResult:
+    def _degrade(self, sub: Submission, faults: ResolvedFaults) -> GroupResult:
         """Map a repeatedly failing group in the parent, from its payload.
 
         The payload runs through :class:`_InProcessFuture`, as under the
@@ -426,11 +428,8 @@ class ProcessExecutor:
         The caller merges the result at the group's position and stores
         it in the result cache, like any other, so the final network
         stays identical to a fault-free run.  Raises
-        :class:`GroupFailedError` when degradation is disabled or the
-        in-parent run fails too.
+        :class:`GroupFailedError` when the in-parent run fails too.
         """
-        if not engine.config.degrade_to_serial:
-            raise GroupFailedError(sub.ordinal, sub.failures)
         self._counts["groups_degraded"] += 1
         observe.add("groups_degraded")
         started = time.perf_counter()

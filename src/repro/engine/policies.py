@@ -18,8 +18,8 @@ as a side effect) but never emits nodes, which is what makes it testable in
 isolation and swappable via ``FlowConfig`` -- the emitter turns its
 :class:`PolicyDecision` into LUTs.
 
-The historical hard caps are now configuration (``FlowConfig.ladder_cap``,
-``FlowConfig.peel_rounds``) and no longer silent: when either cap truncates
+The two hard caps are the constants :data:`LADDER_CAP` and
+:data:`PEEL_ROUNDS`, and they are not silent: when either cap truncates
 the search, the policy bumps an observe counter
 (``ladder_cap_truncations`` / ``peel_limit_truncations``).
 """
@@ -42,6 +42,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flow imports engine)
 
 #: Prefix of a policy-portfolio race spec (``race:a,b,c``).
 RACE_PREFIX = "race:"
+
+#: Hard ceiling of the bound-size ladder (it widens from k towards k + 3).
+LADDER_CAP = 12
+
+#: Lone-output peel rounds per vector.
+PEEL_ROUNDS = 3
 
 
 def parse_policy_spec(spec: str) -> list[str]:
@@ -110,7 +116,8 @@ class LadderPeelPolicy:
     """The paper-faithful default: scorer race + bound ladder + lone peel."""
 
     def __init__(self, config: "FlowConfig") -> None:
-        """Read the ladder/peel knobs from ``config`` (k, caps, rounds).
+        """Read k (the ladder's first bound size) and the scoring knobs
+        from ``config``.
 
         The technology target supplies the candidate-ranking key (see
         :meth:`repro.targets.base.TechTarget.candidate_key`); for the
@@ -162,7 +169,6 @@ class LadderPeelPolicy:
             res = decompose_multi(
                 bdd, vec, bs_, fs_,
                 tie_break=config.tie_break,
-                dc_fill=config.dc_fill,
                 strict=config.strict,
                 local_partitions=self.kernel.local_partitions(bdd, vec, bs_),
             )
@@ -183,24 +189,22 @@ class LadderPeelPolicy:
     def _ladder(
         self, bdd: BDD, vec: list[int]
     ) -> tuple[MultiOutputDecomposition, list[int], list[int], int]:
-        """Bound-size ladder: start at the configured size (default k) and
-        widen while no output makes progress -- the paper uses bound sets
-        up to b = 8 with k = 5 (Table 1, alu4), decomposing the
-        d-functions recursively.  ``ladder_cap`` bounds the widening.
+        """Bound-size ladder: start at k and widen while no output makes
+        progress, up to k + 3 -- the paper uses bound sets up to b = 8
+        with k = 5 (Table 1, alu4), decomposing the d-functions
+        recursively.  :data:`LADDER_CAP` bounds the widening.
 
         Returns the last attempt's ``(result, bs, progressing)`` and the
         bound size it used.
         """
-        config = self.config
-        base_bound = min(config.bound_size or config.k, config.k)
-        max_bound = max(base_bound, config.bound_size or 0, config.k + 3)
-        ceiling = min(max_bound, config.ladder_cap)
-        bound = base_bound
+        k = self.config.k
+        ceiling = min(k + 3, LADDER_CAP)
+        bound = k
         result, bs, progressing = self._attempt(bdd, vec, bound)
         while not progressing and bound < ceiling:
             bound += 2
             result, bs, progressing = self._attempt(bdd, vec, bound)
-        if not progressing and ceiling < max_bound:
+        if not progressing and ceiling < k + 3:
             observe.add("ladder_cap_truncations")
         return result, bs, progressing, bound
 
@@ -213,14 +217,14 @@ class LadderPeelPolicy:
         progressing: list[int],
         bound: int,
     ) -> PolicyDecision:
-        """Lone-output peel: up to ``peel_rounds`` rounds, each peeling the
+        """Lone-output peel: up to :data:`PEEL_ROUNDS` rounds, each peeling the
         outputs of ``result`` whose functions are all unshared and
         re-decomposing the rest at ``bound``.
         """
         kept = list(range(len(vector)))
         peeled: list[int] = []
         current = list(vector)
-        for _ in range(self.config.peel_rounds):
+        for _ in range(PEEL_ROUNDS):
             if len(current) <= 1:
                 break
             lone = result.lone_outputs()

@@ -37,6 +37,8 @@ from typing import TYPE_CHECKING
 from repro.bdd.manager import BDD
 from repro.bdd.transfer import PortableDag, import_dag
 from repro.engine.faults import FaultSpec, perform_fault
+from repro.engine.policies import LADDER_CAP, PEEL_ROUNDS
+from repro.partitioning.outputs import MAX_GLOBALS
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.mapping.flow import FlowConfig, GroupRecord
@@ -191,11 +193,21 @@ _NON_SEMANTIC_FIELDS = frozenset(
         "fault_plan",
         "task_timeout",
         "task_retries",
-        "retry_backoff",
-        "degrade_to_serial",
         "cache_db",
     }
 )
+
+#: Semantic knobs that were FlowConfig fields and are now fixed, with the
+#: values the flow uses.  The digest still covers them under their old
+#: names, so results stored before they were retired keep hitting.
+_RETIRED_FIELDS = {
+    "bound_size": None,
+    "dc_fill": "zero",
+    "ladder_cap": LADDER_CAP,
+    "max_globals": MAX_GLOBALS,
+    "output_grouping": "greedy",
+    "peel_rounds": PEEL_ROUNDS,
+}
 
 
 def config_digest(config: "FlowConfig") -> str:
@@ -205,6 +217,7 @@ def config_digest(config: "FlowConfig") -> str:
         for f in fields(config)
         if f.name not in _NON_SEMANTIC_FIELDS
     }
+    semantic.update(_RETIRED_FIELDS)
     blob = json.dumps(semantic, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

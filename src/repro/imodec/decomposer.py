@@ -177,7 +177,6 @@ def decompose_multi(
     tie_break: TieBreak = "balanced",
     code_prefix: str = "w",
     build_g: bool = True,
-    dc_fill: str = "zero",
     strict: bool = False,
     local_partitions: Sequence[Partition] | None = None,
     max_functions: int | None = None,
@@ -218,7 +217,7 @@ def decompose_multi(
         return _decompose_multi_impl(
             bdd, f_nodes, bs_levels, fs_levels,
             tie_break=tie_break, code_prefix=code_prefix, build_g=build_g,
-            dc_fill=dc_fill, strict=strict, local_partitions=local_partitions,
+            strict=strict, local_partitions=local_partitions,
             max_functions=max_functions,
         )
 
@@ -231,7 +230,6 @@ def _decompose_multi_impl(
     tie_break: TieBreak,
     code_prefix: str,
     build_g: bool,
-    dc_fill: str,
     strict: bool,
     local_partitions: Sequence[Partition] | None,
     max_functions: int | None,
@@ -402,7 +400,7 @@ def _decompose_multi_impl(
                 if d_pool[idx].table[x]:
                     code |= 1 << bit
             vertex_codes.append(code)
-        g_nodes.append(build_g_node(bdd, levels_k, vertex_codes, cofactors[k], dc_fill=dc_fill))
+        g_nodes.append(build_g_node(bdd, levels_k, vertex_codes, cofactors[k]))
 
     return MultiOutputDecomposition(
         bs_levels=bs,

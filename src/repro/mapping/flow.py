@@ -30,12 +30,12 @@ executor emits the same bytes.  The heuristics live behind
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, get_args
 
 from repro import observe
 from repro.engine import EXECUTORS, Engine, EngineStats
 from repro.engine.faults import FaultPlan
-from repro.engine.policies import POLICIES, parse_policy_spec
+from repro.engine.policies import LADDER_CAP, POLICIES, parse_policy_spec
 from repro.imodec.lmax import TieBreak
 from repro.mapping.lut import check_k_feasible
 from repro.network.collapse import collapse
@@ -46,6 +46,9 @@ from repro.partitioning.variables import Strategy
 from repro.targets import AUTO_TARGET, resolve_target
 from repro.verify import network_bdds
 
+#: The two columns of Table 2 (see the module docstring).
+Mode = Literal["multi", "single"]
+
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -53,27 +56,19 @@ class FlowConfig:
 
     k: int | None = None  # LUT input width (None: from target; default 5)
     target: str = AUTO_TARGET  # technology target (repro.targets registry)
-    mode: Literal["multi", "single"] = "multi"
-    bound_size: int | None = None  # default: k (capped by support size)
+    mode: Mode = "multi"
     tie_break: TieBreak = "balanced"
     var_strategy: Strategy = "auto"
     use_output_partitioning: bool = True
-    output_grouping: Literal["greedy", "fast"] = "greedy"
-    dc_fill: Literal["zero", "nearest"] = "zero"  # unused-code filling in g
     strict: bool = False  # one-code-per-class baseline (refs [10, 11])
     max_group: int | None = None  # the paper's "limit m" valve
-    max_globals: int | None = 64  # Property-1 abort threshold
     jobs: int = 1  # engine process-pool width (--executor process)
     executor: Literal["serial", "process", "remote"] = "serial"
     policy: str = "ladder-peel"  # decomposition heuristic (engine.policies)
-    ladder_cap: int = 12  # hard ceiling of the bound-size ladder
-    peel_rounds: int = 3  # lone-output peel rounds per vector
 
     # -- reliability (every executor; see docs/RELIABILITY.md) ----------
     task_timeout: float | None = None  # per-group wall-clock ceiling (s)
     task_retries: int = 2  # retries per group after the first failure
-    retry_backoff: float = 0.05  # base of the exponential retry backoff (s)
-    degrade_to_serial: bool = True  # failing groups fall back in-parent
     fault_plan: FaultPlan | None = None  # deterministic fault injection
 
     # -- persistent result cache (see docs/CACHING.md) ------------------
@@ -92,6 +87,19 @@ class FlowConfig:
         name, k = resolve_target(self.target, self.k)
         object.__setattr__(self, "target", name)
         object.__setattr__(self, "k", k)
+        if self.k > LADDER_CAP:
+            raise ValueError(
+                f"k = {self.k} is above the bound-size ladder's ceiling "
+                f"(LADDER_CAP = {LADDER_CAP})"
+            )
+        for knob, literal in (
+            ("mode", Mode), ("tie_break", TieBreak), ("var_strategy", Strategy)
+        ):
+            value = getattr(self, knob)
+            if value not in get_args(literal):
+                raise ValueError(
+                    f"unknown {knob} {value!r} (have: {list(get_args(literal))})"
+                )
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {self.executor!r} (have: {sorted(EXECUTORS)})"
@@ -101,10 +109,6 @@ class FlowConfig:
                 raise ValueError(
                     f"unknown policy {candidate!r} (have: {sorted(POLICIES)})"
                 )
-        if self.ladder_cap < self.k:
-            raise ValueError("ladder_cap below k leaves no ladder at all")
-        if self.peel_rounds < 0:
-            raise ValueError("peel_rounds must be >= 0")
         if self.executor == "remote" and self.broker is None:
             raise ValueError(
                 "executor 'remote' needs a broker address "
@@ -118,8 +122,6 @@ class FlowConfig:
             raise ValueError("task_timeout must be positive (or None)")
         if self.task_retries < 0:
             raise ValueError("task_retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
 
 
 @dataclass
@@ -225,25 +227,14 @@ def prepare_synthesis(network: Network, config: FlowConfig) -> PreparedRun:
         nontrivial = [
             i for i, f in enumerate(out_nodes) if len(bdd.support(f)) > config.k
         ]
-        if config.output_grouping == "fast":
-            from repro.partitioning.outputs import partition_outputs_fast
-
-            with observe.span("partition_outputs"):
-                groups_idx = partition_outputs_fast(
-                    bdd,
-                    [out_nodes[i] for i in nontrivial],
-                    max_group=config.max_group,
-                )
-        else:
-            groups_idx = partition_outputs(
-                bdd,
-                [out_nodes[i] for i in nontrivial],
-                sorted(collapsed.input_levels.values()),
-                min(config.bound_size or config.k, config.k),
-                max_group=config.max_group,
-                max_globals=config.max_globals,
-                kernel=engine.partition_kernel(),
-            )
+        groups_idx = partition_outputs(
+            bdd,
+            [out_nodes[i] for i in nontrivial],
+            sorted(collapsed.input_levels.values()),
+            config.k,
+            max_group=config.max_group,
+            kernel=engine.partition_kernel(),
+        )
         groups = [[nontrivial[i] for i in g] for g in groups_idx]
         grouped = {i for g in groups for i in g}
         groups.extend([[i] for i in range(len(out_nodes)) if i not in grouped])

@@ -158,9 +158,8 @@ def synthesize_structural(
                     bdd,
                     nodes,
                     levels,
-                    min(config.bound_size or config.k, config.k),
+                    config.k,
                     max_group=config.max_group,
-                    max_globals=config.max_globals,
                     kernel=engine.partition_kernel(),
                 )
             else:

@@ -9,10 +9,10 @@ combination.  Repeat until no suitable function remains, then start the next
 group with the leftovers.
 
 Trial decompositions dominate the run time (the paper blames alu2's 902
-seconds on exactly this); the ``max_group`` and ``max_globals`` caps are the
-paper's "limit m" safety valve.  The greedy reads one bit from a trial --
-does the gain beat the group's current gain? -- so each trial computes only
-that, exactly:
+seconds on exactly this); the ``max_group`` cap and the :data:`MAX_GLOBALS`
+abort are the paper's "limit m" safety valve.  The greedy reads one bit
+from a trial -- does the gain beat the group's current gain? -- so each
+trial computes only that, exactly:
 
 - the gain to beat becomes a bound on the trial's pool size ``q``, and the
   decomposition stops as soon as ``q`` provably reaches it
@@ -38,6 +38,10 @@ from repro.imodec.decomposer import decompose_multi
 from repro.imodec.globalpart import lower_bound_q
 from repro.partitioning.kernel import BoundSetKernel
 from repro.partitioning.variables import choose_bound_set
+
+#: Property-1 abort threshold of :func:`partition_outputs`: a trial whose
+#: global partition has more classes is not worth decomposing together.
+MAX_GLOBALS = 64
 
 
 @dataclass
@@ -156,58 +160,12 @@ def shared_inputs(bdd: BDD, f: int, group_support: set[int]) -> int:
     return len(bdd.support(f) & group_support)
 
 
-def partition_outputs_fast(
-    bdd: BDD,
-    f_nodes: Sequence[int],
-    min_overlap: float = 0.5,
-    max_group: int | None = None,
-) -> list[list[int]]:
-    """Trial-free output grouping (the paper's suggested future work).
-
-    Section 7 attributes most of the CPU time to the greedy heuristic's
-    trial decompositions and calls for "better output partitioning
-    approaches with less trial decompositions".  This variant groups outputs
-    purely by support similarity: a candidate joins the group when the
-    Jaccard overlap between its support and the group's support union is at
-    least ``min_overlap``.  No decompositions are run at all; quality is
-    compared against the greedy heuristic in
-    ``benchmarks/bench_ablation_output_partitioning.py``.
-    """
-    supports = [bdd.support(f) for f in f_nodes]
-    remaining = list(range(len(f_nodes)))
-    groups: list[list[int]] = []
-    while remaining:
-        seed = max(remaining, key=lambda k: len(supports[k]))
-        remaining.remove(seed)
-        group = [seed]
-        union = set(supports[seed])
-        while remaining:
-            if max_group is not None and len(group) >= max_group:
-                break
-            best = None
-            best_score = 0.0
-            for k in remaining:
-                if not supports[k]:
-                    continue
-                score = len(supports[k] & union) / len(supports[k] | union)
-                if score > best_score:
-                    best, best_score = k, score
-            if best is None or best_score < min_overlap:
-                break
-            group.append(best)
-            remaining.remove(best)
-            union |= supports[best]
-        groups.append(sorted(group))
-    return groups
-
-
 def partition_outputs(
     bdd: BDD,
     f_nodes: Sequence[int],
     input_levels: Sequence[int],
     bound_size: int,
     max_group: int | None = None,
-    max_globals: int | None = 64,
     kernel: BoundSetKernel | None = None,
 ) -> list[list[int]]:
     """Group output indices into decomposition vectors (the paper's heuristic).
@@ -226,7 +184,7 @@ def partition_outputs(
         nullcontext(kernel) if kernel is not None else BoundSetKernel()
     ) as kernel:
         groups = _partition_outputs_impl(
-            bdd, f_nodes, input_levels, bound_size, max_group, max_globals, kernel
+            bdd, f_nodes, input_levels, bound_size, max_group, kernel
         )
         observe.add("groups_formed", len(groups))
         observe.gauge("largest_group", max((len(g) for g in groups), default=0))
@@ -239,7 +197,6 @@ def _partition_outputs_impl(
     input_levels: Sequence[int],
     bound_size: int,
     max_group: int | None,
-    max_globals: int | None,
     kernel: BoundSetKernel,
 ) -> list[list[int]]:
     remaining = list(range(len(f_nodes)))
@@ -277,7 +234,7 @@ def _partition_outputs_impl(
                 [f_nodes[k] for k in members],
                 input_levels,
                 bound_size,
-                max_globals,
+                MAX_GLOBALS,
                 solo_costs=[solo[k] for k in members],  # type: ignore[misc]
                 kernel=kernel,
                 min_gain=current_gain,

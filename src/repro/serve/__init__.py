@@ -17,7 +17,6 @@ from repro.serve.jobs import (
     JobRegistry,
     JobRunner,
     QueueFull,
-    RunnerConfig,
     run_job,
 )
 from repro.serve.wire import (
@@ -38,7 +37,6 @@ __all__ = [
     "JobRequest",
     "JobRunner",
     "QueueFull",
-    "RunnerConfig",
     "SCHEMA_ID",
     "STATUS_HTTP",
     "ServerConfig",

@@ -33,16 +33,11 @@ import os
 from dataclasses import dataclass
 
 from repro.cache.store import close_store
+from repro.engine import parse_fault_plan
 from repro.engine.executors import request_cancel, reset_cancel, shutdown_pool
 from repro.httpjson import JsonHandler, JsonService
-from repro.serve.jobs import (
-    Job,
-    JobQueue,
-    JobRegistry,
-    JobRunner,
-    QueueFull,
-    RunnerConfig,
-)
+from repro.mapping.flow import FlowConfig
+from repro.serve.jobs import Job, JobQueue, JobRegistry, JobRunner, QueueFull
 from repro.serve.wire import SCHEMA_ID, JobRequest, WireError, parse_submission
 
 
@@ -150,23 +145,35 @@ class SynthesisServer(JsonService):
     max_body_bytes = 8 * 1024 * 1024
 
     def __init__(self, config: ServerConfig) -> None:
-        """Wire up registry, queue, and runners (nothing starts yet)."""
+        """Wire up registry, queue, and runners (nothing starts yet).
+
+        Raises ``ValueError`` on an execution knob ``repro synth`` would
+        reject too, such as a malformed fault plan, before any state is
+        created.
+        """
         super().__init__(config.host, config.port)
         self.config = config
-        self.registry = JobRegistry(config.state_dir)
-        self.queue = JobQueue(config.backlog)
         #: The one result store every job reads and fills; with a state
         #: dir it is also what a restarted server resumes jobs from.
         self.cache_db = config.cache_db
         if self.cache_db is None and config.state_dir is not None:
             self.cache_db = os.path.join(config.state_dir, "results.db")
-        self._runner_config = RunnerConfig(
+        #: Every job's execution knobs; each job replaces its request's
+        #: semantic knobs onto it (:meth:`JobRequest.flow_config`).
+        self.execution = FlowConfig(
             jobs=config.jobs,
-            cache_db=self.cache_db,
-            task_retries=config.task_retries,
-            fault_plan=config.fault_plan,
+            executor="remote" if config.broker else "process",
             broker=config.broker,
+            task_retries=config.task_retries,
+            fault_plan=(
+                parse_fault_plan(config.fault_plan)
+                if config.fault_plan
+                else None
+            ),
+            cache_db=self.cache_db,
         )
+        self.registry = JobRegistry(config.state_dir)
+        self.queue = JobQueue(config.backlog)
         self._runners: list[JobRunner] = []
 
     def admit(self, request: JobRequest) -> Job:
@@ -189,7 +196,7 @@ class SynthesisServer(JsonService):
             runner = JobRunner(
                 self.queue,
                 self.registry,
-                self._runner_config,
+                self.execution,
                 name=f"repro-runner-{i}",
             )
             runner.start()

@@ -41,7 +41,6 @@ from pathlib import Path
 
 from repro import observe
 from repro.algebraic.rugged import rugged
-from repro.engine import parse_fault_plan
 from repro.errors import BudgetExceeded, ReproError, RunInterrupted
 from repro.io import parse_network
 from repro.io.blif import write_blif
@@ -250,59 +249,15 @@ class JobQueue:
             return None
 
 
-@dataclass(frozen=True)
-class RunnerConfig:
-    """Flow knobs shared by every job this server runs.
-
-    Attributes:
-        jobs: worker-pool width shared by all concurrent requests.
-        cache_db: path of the shared persistent result cache, if any.
-        task_retries: per-group retry budget.
-        fault_plan: fault-injection plan string (testing only).
-        broker: remote task-broker address; when set every job runs under
-            the remote executor instead of the local process pool
-            (``docs/DISTRIBUTED.md``).
-    """
-
-    jobs: int = 2
-    cache_db: str | None = None
-    task_retries: int = 2
-    fault_plan: str | None = None
-    broker: str | None = None
-
-
-def flow_config(request: JobRequest, runner: RunnerConfig) -> FlowConfig:
-    """The :class:`FlowConfig` equivalent to a one-shot CLI invocation.
-
-    Only semantic fields come from the request; execution fields (pool
-    width, retries, result cache) come from the server, and none of them
-    affect the output bytes (see ``docs/ARCHITECTURE.md``).
-    """
-    return FlowConfig(
-        k=request.k,
-        target=request.target,
-        mode=request.mode,
-        policy=request.policy,
-        strict=request.strict,
-        jobs=runner.jobs,
-        executor="remote" if runner.broker else "process",
-        broker=runner.broker,
-        task_retries=runner.task_retries,
-        fault_plan=(
-            parse_fault_plan(runner.fault_plan)
-            if runner.fault_plan
-            else None
-        ),
-        cache_db=runner.cache_db,
-    )
-
-
-def run_job(job: Job, registry: JobRegistry, runner: RunnerConfig) -> None:
+def run_job(job: Job, registry: JobRegistry, execution: FlowConfig) -> None:
     """Execute one job to a terminal (or interrupted) status.
 
     Mirrors ``repro synth``: same flow calls, same span names, same
     budget semantics -- so the BLIF is byte-identical to the CLI and the
-    report is the same ``repro-run-report/5`` document.  Every exit path
+    report is the same ``repro-run-report/5`` document.  The job's
+    :class:`FlowConfig` is ``execution`` (pool width, retries, result
+    cache: the server's, none of which changes the output bytes) with
+    the request's semantic knobs replaced onto it.  Every exit path
     (success, failure, blown budget, interrupt) persists the job, and a
     failed or blown run still carries a partial report with the
     ``failures`` array populated.
@@ -329,7 +284,7 @@ def run_job(job: Job, registry: JobRegistry, runner: RunnerConfig) -> None:
             reference = net.copy()
             if request.rugged:
                 rugged(net)
-            config = flow_config(request, runner)
+            config = request.flow_config(execution)
             with observe.span("synthesize"):
                 result = synthesize(net, config)
             with observe.span("verify"):
@@ -402,14 +357,14 @@ class JobRunner(threading.Thread):
         self,
         jobs: JobQueue,
         registry: JobRegistry,
-        runner: RunnerConfig,
+        execution: FlowConfig,
         name: str = "repro-runner",
     ) -> None:
         """Create the runner (daemonic; start with ``.start()``)."""
         super().__init__(name=name, daemon=True)
         self._queue = jobs
         self._registry = registry
-        self._runner = runner
+        self._execution = execution
         self._stop_event = threading.Event()
 
     def request_stop(self) -> None:
@@ -423,7 +378,7 @@ class JobRunner(threading.Thread):
             if job is None:
                 continue
             try:
-                run_job(job, self._registry, self._runner)
+                run_job(job, self._registry, self._execution)
             except Exception as exc:  # noqa: BLE001 - runner must survive
                 job.transition("failed", f"{type(exc).__name__}: {exc}")
                 self._registry.save(job)

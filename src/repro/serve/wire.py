@@ -23,7 +23,9 @@ genuine synthesis failure as 500.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+
+from repro.mapping.flow import FlowConfig
 
 #: Schema identifier stamped into every job envelope.
 SCHEMA_ID = "repro-serve-job/1"
@@ -92,6 +94,21 @@ class JobRequest:
         """JSON-ready form (persisted in the state dir, replayed on resume)."""
         return asdict(self)
 
+    def flow_config(self, execution: FlowConfig | None = None) -> FlowConfig:
+        """The request's semantic knobs on ``execution``, the server's
+        execution config (default: a serial one-shot run).
+
+        Raises ``ValueError`` on any knob the flow rejects.
+        """
+        return replace(
+            execution or FlowConfig(),
+            k=self.k,
+            target=self.target,
+            mode=self.mode,
+            policy=self.policy,
+            strict=self.strict,
+        )
+
 
 _FIELD_TYPES = {
     "circuit": str,
@@ -117,8 +134,9 @@ def parse_submission(payload: object) -> JobRequest:
 
     Raises :class:`WireError` (mapped to HTTP 400) on anything that is
     not an object with a non-empty ``circuit`` string and well-typed
-    optional knobs; unknown keys are rejected so client typos fail loudly
-    instead of silently running with defaults.
+    optional knobs, or whose knobs the flow rejects (checked by building
+    the request's :class:`FlowConfig`); unknown keys are rejected so
+    client typos fail loudly instead of silently running with defaults.
     """
     if not isinstance(payload, dict):
         raise WireError("submission must be a JSON object")
@@ -137,24 +155,12 @@ def parse_submission(payload: object) -> JobRequest:
     request = JobRequest(**payload)
     if request.fmt not in (None, "pla", "blif"):
         raise WireError(f"unknown circuit format {request.fmt!r}")
-    if request.mode not in ("multi", "single"):
-        raise WireError(f"unknown mode {request.mode!r}")
     if request.priority not in PRIORITIES:
         raise WireError(
             f"unknown priority {request.priority!r} (have: {list(PRIORITIES)})"
         )
-    if request.k is not None and request.k < 2:
-        raise WireError("k must be at least 2")
-    from repro.engine.policies import POLICIES, parse_policy_spec
-    from repro.targets import resolve_target
-
     try:
-        resolve_target(request.target, request.k)
-        for candidate in parse_policy_spec(request.policy):
-            if candidate not in POLICIES:
-                raise ValueError(
-                    f"unknown policy {candidate!r} (have: {sorted(POLICIES)})"
-                )
+        request.flow_config()
     except ValueError as exc:
         raise WireError(str(exc)) from None
     return request

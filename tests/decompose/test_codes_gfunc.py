@@ -79,19 +79,10 @@ class TestBuildG:
         with pytest.raises(ValueError):
             build_g(bdd, [2], [0, 0], [y0, bdd.apply_not(y0)])
 
-    def test_nearest_fill_covers_unused_codes(self):
+    def test_unused_codes_are_zero(self):
         bdd = self._bdd()
         y0 = bdd.var(0)
         cofs = [y0, bdd.apply_not(y0), y0]  # codes 0,1,2 used; 3 unused
-        g_zero = build_g(bdd, [2, 3], [0, 1, 2], cofs, dc_fill="zero")
-        g_near = build_g(bdd, [2, 3], [0, 1, 2], cofs, dc_fill="nearest")
-        # on used codes the two agree
-        for code in (0, 1, 2):
-            env = {2: bool(code & 1), 3: bool(code & 2)}
-            for y in (False, True):
-                env[0] = y
-                env[1] = False
-                assert bdd.eval(g_zero, env) == bdd.eval(g_near, env)
-        # on the unused code, zero-fill is 0 while nearest-fill copies a neighbour
-        env = {2: True, 3: True, 0: True, 1: False}
-        assert not bdd.eval(g_zero, env)
+        g = build_g(bdd, [2, 3], [0, 1, 2], cofs)
+        for y in (False, True):
+            assert not bdd.eval(g, {0: y, 1: False, 2: True, 3: True})

@@ -75,14 +75,6 @@ class TestDecomposeSingle:
         with pytest.raises(ValueError):
             decompose_single(bdd, f, [0], [1])
 
-    def test_dc_fill_nearest_also_verifies(self):
-        rng = random.Random(31)
-        for _ in range(10):
-            t = TruthTable.random(5, rng)
-            bdd, f = build(t)
-            result = decompose_single(bdd, f, [0, 1, 2], [3, 4], dc_fill="nearest")
-            assert result.verify(bdd, f)
-
     def test_adder_bound_set(self):
         # MSB of a 2-bit + 2-bit addition; BS = first operand
         def msb(a0, a1, b0, b1):

@@ -64,8 +64,11 @@ class TestLadderPeelPolicy:
         assert (a.kept, a.peeled, a.bound, a.bs) == (b.kept, b.peeled, b.bound, b.bs)
 
     def test_peel_rounds_zero_disables_peeling(self):
+        # flat-ladder is the ladder with zero peel rounds.
         bdd, vector = adder_vector()
-        decision = make_policy(FlowConfig(k=4, peel_rounds=0)).decompose(bdd, vector)
+        decision = make_policy(
+            FlowConfig(k=4, policy="flat-ladder")
+        ).decompose(bdd, vector)
         assert decision.peeled == []
         assert decision.kept == list(range(len(vector)))
 

@@ -140,7 +140,7 @@ RECOVERY_CIRCUITS = ["alu2", "misex2"]
 
 
 def raced(**kwargs) -> FlowConfig:
-    return FlowConfig(policy=RACE, retry_backoff=0.0, **kwargs)
+    return FlowConfig(policy=RACE, **kwargs)
 
 
 class TestRaceRecovery:

@@ -53,13 +53,11 @@ def bench(name: str, make_rugged: bool = False):
 
 
 def process_config(**kwargs) -> FlowConfig:
-    return FlowConfig(
-        executor="process", jobs=2, retry_backoff=0.0, **kwargs
-    )
+    return FlowConfig(executor="process", jobs=2, **kwargs)
 
 
 def serial_config(**kwargs) -> FlowConfig:
-    return FlowConfig(retry_backoff=0.0, **kwargs)
+    return FlowConfig(**kwargs)
 
 
 class TestFaultEquivalence:
@@ -121,14 +119,13 @@ class TestFaultEquivalence:
         assert stats.tasks_offloaded < stats.tasks_total
 
     def test_permanent_failure_without_degradation_raises(self):
+        # attempts=None fails the in-parent degraded attempt as well.
         net = bench("rd53")
         plan = FaultPlan(specs=(
             FaultSpec("drop", group=1, attempts=None),
         ))
         with pytest.raises(GroupFailedError, match="group 1"):
-            synthesize(net, self.config(
-                fault_plan=plan, task_retries=1, degrade_to_serial=False,
-            ))
+            synthesize(net, self.config(fault_plan=plan, task_retries=1))
 
 
 class TestFaultEquivalenceSerial(TestFaultEquivalence):
@@ -267,15 +264,16 @@ class TestBatchIsolation:
         solo = [synthesize(net, config) for net in nets]
 
         # rd53 owns batch ordinals 0..(its group count - 1); a permanent
-        # fault on ordinal 0 with degradation off kills only rd53.
+        # fault on ordinal 0, which fails its degraded attempt too, kills
+        # only rd53.
         plan = FaultPlan(specs=(
             FaultSpec("drop", group=0, attempts=None),
         ))
         results = synthesize_batch(
             nets,
             FlowConfig(
-                k=4, executor="process", jobs=2, retry_backoff=0.0,
-                task_retries=1, degrade_to_serial=False, fault_plan=plan,
+                k=4, executor="process", jobs=2, task_retries=1,
+                fault_plan=plan,
             ),
             fail_fast=False,
         )
@@ -294,8 +292,7 @@ class TestBatchIsolation:
             synthesize_batch(
                 self._networks(),
                 FlowConfig(
-                    k=4, executor="process", jobs=2, retry_backoff=0.0,
-                    task_retries=1, degrade_to_serial=False,
+                    k=4, executor="process", jobs=2, task_retries=1,
                     fault_plan=plan,
                 ),
             )
@@ -309,10 +306,7 @@ class TestBatchIsolation:
         plan = FaultPlan(specs=(FaultSpec("kill", group=0),))
         results = synthesize_batch(
             nets,
-            FlowConfig(
-                k=4, executor="process", jobs=2, retry_backoff=0.0,
-                fault_plan=plan,
-            ),
+            FlowConfig(k=4, executor="process", jobs=2, fault_plan=plan),
             fail_fast=False,
         )
         for a, b in zip(solo, results):
@@ -335,7 +329,7 @@ class TestBatchIsolation:
                 [bench("rd53"), bench("misex1"), bench("5xp1")],
                 FlowConfig(
                     executor="process", jobs=1, task_retries=0,
-                    degrade_to_serial=False, fault_plan=plan,
+                    fault_plan=plan,
                 ),
             )
         assert len(futures) == 13
@@ -362,7 +356,7 @@ class TestBatchIsolation:
                 [bench("rd53"), bench("misex1"), bench("5xp1")],
                 FlowConfig(
                     executor="process", jobs=1, task_retries=0,
-                    degrade_to_serial=False, fault_plan=plan,
+                    fault_plan=plan,
                 ),
             )
         assert any(f.cancelled() for f in futures)

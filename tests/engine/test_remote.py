@@ -36,6 +36,8 @@ from repro.engine.remote.executor import CONNECT_WAIT_SECONDS
 from repro.engine.remote.wire import (
     TASK_SCHEMA,
     RemoteWireError,
+    config_from_json,
+    config_to_json,
     parse_result,
 )
 from repro.errors import FaultInjected
@@ -127,9 +129,7 @@ def bench(name: str, make_rugged: bool = False):
 
 
 def remote_config(address: str, **kwargs) -> FlowConfig:
-    return FlowConfig(
-        executor="remote", broker=address, retry_backoff=0.0, **kwargs
-    )
+    return FlowConfig(executor="remote", broker=address, **kwargs)
 
 
 class TestByteIdentity:
@@ -427,3 +427,17 @@ class TestResultSchema:
         }
         with pytest.raises(RemoteWireError, match="repro-remote-result/2"):
             parse_result(envelope)
+
+
+class TestTaskConfig:
+    def test_a_retired_field_is_refused(self):
+        # An older coordinator still sends ladder_cap; the worker refuses
+        # the task, and the coordinator degrades the group in-process.
+        data = {**config_to_json(FlowConfig()), "ladder_cap": 12}
+        with pytest.raises(RemoteWireError, match="ladder_cap"):
+            config_from_json(data)
+
+    def test_a_value_the_flow_rejects_is_a_wire_error(self):
+        data = {**config_to_json(FlowConfig()), "mode": "Multi"}
+        with pytest.raises(RemoteWireError, match="unknown mode"):
+            config_from_json(data)

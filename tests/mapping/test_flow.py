@@ -6,6 +6,7 @@ import pytest
 
 from repro.boolfunc.sop import Sop
 from repro.boolfunc.truthtable import TruthTable
+from repro.engine import policies
 from repro.mapping.flow import FlowConfig, synthesize, verify_flow
 from repro.mapping.lut import check_k_feasible, lut_count
 from repro.network.network import Network
@@ -124,33 +125,6 @@ class TestSharedOutputs:
         assert result.num_luts == 1
 
 
-class TestFastGrouping:
-    def test_fast_grouping_flow_is_exact(self):
-        net = ones_count_network(6, 3)
-        result = synthesize(net, FlowConfig(k=5, mode="multi", output_grouping="fast"))
-        assert verify_flow(net, result)
-        assert result.max_group_outputs >= 2  # ones-count outputs overlap fully
-
-    def test_fast_grouping_shares_functions(self):
-        net = ones_count_network(5, 3)
-        fast = synthesize(net, FlowConfig(k=4, mode="multi", output_grouping="fast"))
-        single = synthesize(net, FlowConfig(k=4, mode="single"))
-        assert verify_flow(net, fast)
-        assert fast.num_luts <= single.num_luts
-
-
-class TestDcFill:
-    def test_nearest_fill_flow_is_exact(self):
-        net = ones_count_network(6, 3)
-        result = synthesize(net, FlowConfig(k=5, mode="multi", dc_fill="nearest"))
-        assert verify_flow(net, result)
-
-    def test_nearest_fill_single_mode(self):
-        net = ones_count_network(5, 3)
-        result = synthesize(net, FlowConfig(k=4, mode="single", dc_fill="nearest"))
-        assert verify_flow(net, result)
-
-
 class TestStrictFlow:
     def test_strict_flow_is_exact_but_never_better(self):
         net = ones_count_network(5, 3)
@@ -163,19 +137,25 @@ class TestStrictFlow:
 class TestShannonFallback:
     """Pinned non-decomposable function exercising the mux-split path.
 
-    The truth table was found by search: with ``ladder_cap=k`` the bound
-    set cannot widen, no 4-variable bound set makes progress, and the flow
-    must fall back to a Shannon split (Section 7's termination guarantee).
+    The truth table was found by search: with the ladder capped at k
+    (``LADDER_CAP`` patched to 4; the runs are serial, so the patch
+    reaches the policy) the bound set cannot widen, no 4-variable bound
+    set makes progress, and the flow must fall back to a Shannon split
+    (Section 7's termination guarantee).
     """
 
     PINNED_BITS = 0xCD613E30D8F16ADF  # 6-variable truth table
-    CONFIG = dict(k=4, ladder_cap=4)
+    CONFIG = dict(k=4)
+
+    @pytest.fixture
+    def capped(self, monkeypatch):
+        monkeypatch.setattr(policies, "LADDER_CAP", 4)
 
     def _network(self):
         return network_from_tables([TruthTable(6, self.PINNED_BITS)])
 
     @pytest.mark.parametrize("mode", ["multi", "single"])
-    def test_mux_split_fires_and_verifies(self, mode):
+    def test_mux_split_fires_and_verifies(self, mode, capped):
         net = self._network()
         result = synthesize(net, FlowConfig(mode=mode, **self.CONFIG))
         assert result.engine_stats.tasks_shannon > 0
@@ -184,7 +164,7 @@ class TestShannonFallback:
         assert verify_flow(net, result)
         check_k_feasible(result.network, 4)
 
-    def test_truncation_counters_fire(self):
+    def test_truncation_counters_fire(self, capped):
         from repro import observe
         from repro.observe import Tracer
 
@@ -212,12 +192,15 @@ class TestShannonFallback:
 
 class TestFlowConfigValidation:
     def test_ladder_cap_below_k_rejected(self):
-        with pytest.raises(ValueError, match="ladder_cap"):
-            FlowConfig(k=5, ladder_cap=4)
+        FlowConfig(k=policies.LADDER_CAP)
+        with pytest.raises(ValueError, match="LADDER_CAP"):
+            FlowConfig(k=policies.LADDER_CAP + 1)
 
-    def test_negative_peel_rounds_rejected(self):
-        with pytest.raises(ValueError, match="peel_rounds"):
-            FlowConfig(peel_rounds=-1)
+    @pytest.mark.parametrize("knob", ["mode", "tie_break", "var_strategy"])
+    def test_unknown_literal_value_rejected(self, knob):
+        # mode="Multi" used to map silently as single mode.
+        with pytest.raises(ValueError, match=f"unknown {knob} 'Multi'"):
+            FlowConfig(**{knob: "Multi"})
 
     def test_config_is_frozen(self):
         config = FlowConfig()

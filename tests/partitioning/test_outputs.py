@@ -84,40 +84,3 @@ class TestPartitionOutputs:
         groups = partition_outputs(bdd, nodes, list(range(6)), 4)
         flat = sorted(i for g in groups for i in g)
         assert flat == [0, 1, 2, 3]
-
-
-class TestPartitionOutputsFast:
-    def test_related_outputs_grouped_without_trials(self):
-        from repro.partitioning.outputs import partition_outputs_fast
-
-        tables = ones_count_tables(5, 3)
-        bdd, nodes = build(tables)
-        groups = partition_outputs_fast(bdd, nodes)
-        assert groups == [[0, 1, 2]]
-
-    def test_disjoint_supports_stay_apart(self):
-        from repro.partitioning.outputs import partition_outputs_fast
-
-        t1 = TruthTable.from_function(8, lambda *xs: (xs[0] + xs[1] + xs[2]) % 2 == 1)
-        t2 = TruthTable.from_function(8, lambda *xs: (xs[5] + xs[6] + xs[7]) >= 2)
-        bdd, nodes = build([t1, t2])
-        groups = partition_outputs_fast(bdd, nodes)
-        assert sorted(map(len, groups)) == [1, 1]
-
-    def test_max_group_cap(self):
-        from repro.partitioning.outputs import partition_outputs_fast
-
-        tables = ones_count_tables(6, 3)
-        bdd, nodes = build(tables)
-        groups = partition_outputs_fast(bdd, nodes, max_group=2)
-        assert max(map(len, groups)) <= 2
-
-    def test_constant_outputs_are_singletons(self):
-        from repro.partitioning.outputs import partition_outputs_fast
-
-        t1 = TruthTable.constant(4, True)
-        t2 = TruthTable.from_function(4, lambda *xs: sum(xs) >= 2)
-        bdd, nodes = build([t1, t2])
-        groups = partition_outputs_fast(bdd, nodes)
-        flat = sorted(i for g in groups for i in g)
-        assert flat == [0, 1]

@@ -48,7 +48,6 @@ configs = st.builds(
     mode=st.sampled_from(["multi", "single"]),
     tie_break=st.sampled_from(["first", "balanced"]),
     strict=st.booleans(),
-    dc_fill=st.sampled_from(["zero", "nearest"]),
     policy=st.sampled_from(sorted(POLICIES)),
 )
 

@@ -93,6 +93,7 @@ class TestParseSubmission:
             {"circuit": "x", "fmt": "verilog"},
             {"circuit": "x", "rugged": "yes"},
             {"circuit": "x", "budget_nodes": 3.5},
+            {"circuit": "x", "k": 2},
         ],
     )
     def test_rejects_malformed(self, payload):

@@ -610,6 +610,19 @@ class TestTargetsCli:
         assert len(err.strip().splitlines()) == 1, err
 
 
+class TestServeStartup:
+    def test_bad_fault_plan_exits_2_before_binding(self, monkeypatch, capsys):
+        from repro.httpjson import JsonService
+
+        def bind(service):
+            raise AssertionError("repro serve bound its port")
+
+        monkeypatch.setattr(JsonService, "start", bind)
+        argv = ["serve", "--port", "0", "--inject-faults", "bogus"]
+        assert main(argv) == 2
+        assert "missing '@<group>'" in capsys.readouterr().err
+
+
 class TestDaemonSignals:
     """Both daemons drain on a real SIGINT/SIGTERM and exit 0.
 
