@@ -27,6 +27,7 @@ the parent's spans around the pool calls still time them.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -41,10 +42,21 @@ class Budget:
     Attributes:
         seconds: wall-clock bound of a single span activation.
         nodes: bound on watched-manager node growth within one activation.
+
+    Raises ``ValueError`` for a negative, NaN or infinite ``seconds`` and
+    for a negative ``nodes``; 0 is valid and trips at the first check.
     """
 
     seconds: float | None = None
     nodes: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.seconds is not None and not 0 <= self.seconds < math.inf:
+            raise ValueError(
+                f"budget seconds must be finite and >= 0, got {self.seconds!r}"
+            )
+        if self.nodes is not None and self.nodes < 0:
+            raise ValueError(f"budget nodes must be >= 0, got {self.nodes!r}")
 
 
 @dataclass

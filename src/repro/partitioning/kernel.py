@@ -37,12 +37,24 @@ How a triple is computed:
   local partitions (:meth:`BoundSetKernel.local_partitions`), which trial
   decompositions read instead of cofactoring again.
 
-One output whose support is exactly the candidate levels is searched
-without class-id vectors (:meth:`BoundSetKernel.column_search`): every
-candidate is then a subset of the support, so both scorers' keys reduce to
-``l``, the number of distinct cofactor columns, and the packed table is
-permuted so that each candidate's columns are whole bytes that a set
-counts directly.
+An exhaustive search is answered without class-id vectors
+(:meth:`BoundSetKernel.column_search`) when every output's support lies
+inside the candidate levels, those fit :data:`TT_MAX_VARS`, and at least
+:data:`COLUMN_MIN_FREE` of them stay free:
+
+- the outputs' truth tables over the candidate levels are stacked as the
+  blocks of one packed int, and delta swaps move a candidate's bound
+  variables to the top row-index bits of every block, so each block's
+  ``2^|B|`` cofactor columns are runs of whole bytes read by one
+  ``to_bytes`` call;
+- ``l_k`` is the number of distinct columns of block ``k``, ``p`` the
+  number of distinct column tuples across blocks, and ``dependence`` the
+  sum, over the bound levels, of the outputs depending on each: the same
+  triple as the class-id vectors give (THEORY.md section 7);
+- the candidates' triples are computed once per (vector, candidate levels,
+  bound size), and both scorers read their first minimum from that table;
+  one output that depends on every candidate level has ``l >= 2`` on every
+  candidate, so its scan stops at the first ``l = 2``.
 
 The memo:
 
@@ -50,6 +62,9 @@ The memo:
   candidates, calls and both scorers.  Triples are keyed by (vector,
   ``B`` as a set): a triple does not depend on the order of ``B``'s
   variables.
+- A vector is keyed by its sorted roots, with its support masks: a
+  triple does not depend on the order of the outputs either, so a search
+  repeating another with the outputs reordered reads the same entries.
 - Each search's chosen bound set is kept under (vector, candidate levels,
   bound size, strategy, scorer), so a repeated search is one lookup
   (:meth:`BoundSetKernel.winner`).
@@ -68,6 +83,7 @@ from __future__ import annotations
 
 import struct
 import weakref
+from dataclasses import dataclass
 from itertools import combinations, islice
 from operator import itemgetter
 from typing import Sequence
@@ -81,7 +97,7 @@ from repro.decompose.partitions import Partition
 TT_MAX_VARS = 14
 
 #: Bound on the entries a kernel holds (class-id vectors, triples, truth
-#: tables and gather maps together).
+#: tables, vectors, gather maps, candidate tables and winners together).
 MAX_ENTRIES = 1 << 15
 
 #: ``(p, total local classes, dependence)`` of one candidate bound set.
@@ -102,17 +118,19 @@ _COLUMN_FORMATS = {struct.calcsize(code): code for code in "BHIQ"}
 _SWAP_MASKS: dict[tuple[int, int, int], int] = {}
 
 
-def _swap_positions(table: int, n: int, i: int, j: int) -> int:
-    """``table`` (2^n rows) with row-index bits ``i < j`` exchanged.
-
-    A delta swap: the row with bit ``i`` set and bit ``j`` clear trades its
-    value with the row ``2^j - 2^i`` above it.
-    """
+def _swap_mask(n: int, i: int, j: int) -> int:
+    """Rows of a 2^n-row table that trade places when bits ``i < j`` of the
+    row index are exchanged: bit ``i`` set, bit ``j`` clear."""
     mask = _SWAP_MASKS.get((n, i, j))
     if mask is None:
         mask = row_mask(n, i) & ~row_mask(n, j)
         _SWAP_MASKS[(n, i, j)] = mask
-    delta = (1 << j) - (1 << i)
+    return mask
+
+
+def _delta_swap(table: int, mask: int, delta: int) -> int:
+    """``table`` with every row of ``mask`` traded with the row ``delta``
+    above it."""
     x = ((table >> delta) ^ table) & mask
     return table ^ x ^ (x << delta)
 
@@ -163,6 +181,42 @@ def _levels(mask: int) -> list[int]:
     return levels
 
 
+def _mask(levels: Sequence[int]) -> int:
+    """The bit mask of a set of levels."""
+    mask = 0
+    for lvl in levels:
+        mask |= 1 << lvl
+    return mask
+
+
+def first_minimum(triples: Sequence[Triple], scorer: str) -> int:
+    """Index of the first candidate with the smallest ``scorer`` key.
+
+    ``compact`` orders by ``(p, total local classes, -dependence)``,
+    ``shared`` by ``(p, -dependence, total local classes)`` (see
+    :func:`~repro.partitioning.variables.score_bound_set`).
+    """
+    if scorer == "compact":
+        keys = [(p, classes, -dep) for p, classes, dep in triples]
+    elif scorer == "shared":
+        keys = [(p, -dep, classes) for p, classes, dep in triples]
+    else:
+        raise ValueError(f"unknown scorer {scorer!r}")
+    return keys.index(min(keys))
+
+
+@dataclass(frozen=True)
+class _Vector:
+    """An output vector as the kernel holds it: its sorted roots, an id that
+    is never reused, and each root's support mask."""
+
+    vid: int
+    nodes: tuple[int, ...]
+    supports: tuple[int, ...]
+    # level -> indices (into ``nodes``) of the roots depending on it
+    touched_by: dict[int, list[int]]
+
+
 class BoundSetKernel:
     """Exact, memoized scorer of candidate bound sets (see module docstring).
 
@@ -182,16 +236,19 @@ class BoundSetKernel:
         self._classes: dict[tuple[int, int], tuple[Ids, int]] = {}
         # (vector id, mask of B) -> triple
         self._triples: dict[tuple[int, int], Triple] = {}
-        # output vector -> vector id; ids are never reused, so a triple can
+        # sorted roots -> the vector; ids are never reused, so a triple can
         # only ever be found under the vector that produced it
-        self._vectors: dict[tuple[int, ...], int] = {}
+        self._vectors: dict[tuple[int, ...], _Vector] = {}
         self._next_vector = 0
         # (union size, bit positions of D in the union) -> gather
         self._gathers: dict[tuple[int, tuple[int, ...]], itemgetter] = {}
+        # (vector id, candidate levels, bound size) -> the triple of every
+        # candidate a column search read, in combinations order
+        self._columns: dict[tuple[int, tuple[int, ...], int], list[Triple]] = {}
         # (vector id, candidate levels, bound size, strategy, scorer) ->
         # the bound set that search chose
         self._winners: dict[tuple, tuple[int, ...]] = {}
-        self._size = 0  # entries of all six tables together
+        self._size = 0  # entries of all seven tables together
 
     def __len__(self) -> int:
         """Number of memo entries held."""
@@ -213,7 +270,7 @@ class BoundSetKernel:
     def _memos(self) -> tuple[dict, ...]:
         return (
             self._tables, self._classes, self._triples, self._vectors,
-            self._gathers, self._winners,
+            self._gathers, self._columns, self._winners,
         )
 
     def _store(self, table: dict, key: object, value: object) -> None:
@@ -284,24 +341,33 @@ class BoundSetKernel:
             self._store(self._gathers, key, gather)
         return gather
 
-    def _vector_id(self, vector: tuple[int, ...]) -> int:
-        """The id of an output vector (a new one on first sight)."""
-        vid = self._vectors.get(vector)
-        if vid is None:
-            vid = self._next_vector
+    def _vector(self, bdd: BDD, f_nodes: Sequence[int]) -> _Vector:
+        """The vector of these roots in any order (a new one on first sight)."""
+        nodes = tuple(sorted(f_nodes))
+        vector = self._vectors.get(nodes)
+        if vector is None:
+            supports = []
+            touched_by: dict[int, list[int]] = {}
+            for i, f in enumerate(nodes):
+                support = bdd.support(f)
+                for lvl in support:
+                    touched_by.setdefault(lvl, []).append(i)
+                supports.append(_mask(support))
+            vector = _Vector(self._next_vector, nodes, tuple(supports), touched_by)
             self._next_vector += 1
-            self._store(self._vectors, vector, vid)
-        return vid
+            self._store(self._vectors, nodes, vector)
+        return vector
 
     def winner(
         self, bdd: BDD, f_nodes: Sequence[int], search: tuple
     ) -> tuple[int, ...] | None:
         """The bound set a search already chose for this vector, or None.
 
-        ``search`` is (candidate levels, bound size, strategy, scorer).
+        ``search`` is (candidate levels, bound size, strategy, scorer).  The
+        order of ``f_nodes`` does not matter: no triple depends on it.
         """
         self._bind(bdd)
-        return self._winners.get((self._vector_id(tuple(f_nodes)), *search))
+        return self._winners.get((self._vector(bdd, f_nodes).vid, *search))
 
     def remember_winner(
         self, bdd: BDD, f_nodes: Sequence[int], search: tuple,
@@ -309,75 +375,121 @@ class BoundSetKernel:
     ) -> None:
         """Keep the bound set a search chose (see :meth:`winner`)."""
         self._bind(bdd)
-        key = (self._vector_id(tuple(f_nodes)), *search)
+        key = (self._vector(bdd, f_nodes).vid, *search)
         self._store(self._winners, key, tuple(bound_set))
 
     def column_search(
-        self, bdd: BDD, f: int, levels: Sequence[int], size: int
+        self,
+        bdd: BDD,
+        f_nodes: Sequence[int],
+        levels: Sequence[int],
+        size: int,
+        scorer: str = "compact",
     ) -> tuple[tuple[int, ...], int] | None:
-        """Exhaustive first-minimum search for one output, by column count.
+        """Exhaustive first-minimum search by column count (module docstring).
 
-        Applies when the support of ``f`` is exactly ``levels``, fits
-        :data:`TT_MAX_VARS`, and leaves at least :data:`COLUMN_MIN_FREE`
-        free variables; returns None otherwise.  Then every candidate ``B``
-        lies inside the support, so its triple is ``(l, l, |B|)`` with ``l``
-        the number of distinct cofactor columns, and both scorers order the
-        candidates by ``l`` alone.  ``l >= 2`` because ``f`` depends on
-        every bound variable, so the scan stops at the first ``l = 2``.
-
-        For each candidate, in :func:`itertools.combinations` order, delta
-        swaps move the bound variables to the top row-index bits of the
-        packed table; the ``2^|B|`` columns are then consecutive runs of
-        whole bytes, counted as a set.  Returns the first candidate with the
-        fewest columns and the number of candidates examined; the winner's
+        Applies when every output's support lies inside ``levels``, and
+        ``levels`` fit :data:`TT_MAX_VARS` and leave at least
+        :data:`COLUMN_MIN_FREE` free variables; returns None otherwise.
+        Candidates are the :func:`itertools.combinations` of ``levels``;
+        their triples are read from the vector's candidate table, which the
+        first search at these levels and bound size computes
+        (:meth:`_column_triples`) and every later one, under either scorer,
+        reuses.  Returns the first candidate with the smallest ``scorer``
+        key and the number of candidates the table holds; the winner's
         triple joins the memo.
         """
         free = len(levels) - size
-        if free < COLUMN_MIN_FREE:
+        if free < COLUMN_MIN_FREE or len(levels) > TT_MAX_VARS:
             return None
         self._bind(bdd)
-        tabulated = self._table(bdd, f)
-        if tabulated is None:
+        vector = self._vector(bdd, f_nodes)
+        scope = _mask(levels)
+        if any(support & ~scope for support in vector.supports):
             return None
-        table, pos_of = tabulated
-        n = len(pos_of)
-        if len(levels) != n or pos_of.keys() != set(levels):
-            return None
-        nbytes = 1 << (n - 3)
+        key = (vector.vid, tuple(levels), size)
+        table = self._columns.get(key)
+        if table is None:
+            table = self._column_triples(bdd, vector, levels, size)
+            self._store(self._columns, key, table)
+        best = first_minimum(table, scorer)
+        combo = next(islice(combinations(levels, size), best, None))
+        key = (vector.vid, _mask(combo))
+        if key not in self._triples:
+            self._store(self._triples, key, table[best])
+        return combo, len(table)
+
+    def _column_triples(
+        self, bdd: BDD, vector: _Vector, levels: Sequence[int], size: int
+    ) -> list[Triple]:
+        """The triple of every candidate of ``combinations(levels, size)``.
+
+        Block ``k`` of one packed int is output ``k``'s truth table over the
+        sorted candidate levels.  For each candidate, delta swaps (masks
+        repeated over every block) move the bound variables to the top
+        row-index bits, so every block is ``2^size`` consecutive columns of
+        ``2^free`` rows, whole bytes.  Column ``x`` of block ``k`` is the
+        cofactor of output ``k`` at vertex ``x`` of the bound set, and equal
+        columns are equal cofactors, so ``l_k`` counts the block's distinct
+        columns and ``p`` the distinct column tuples across blocks.  The
+        dependence adds, over the bound levels, how many outputs depend on
+        each.  For one output that depends on every level the scan ends at
+        the first candidate with two columns, which no later one can beat.
+        """
+        order = sorted(levels)
+        n = len(order)
+        rows = 1 << n
+        blocks = len(vector.nodes)
+        stacked = 0
+        for k, f in enumerate(vector.nodes):
+            stacked |= bdd.to_truth_bits(f, order) << (k * rows)
+        every_block = ((1 << (blocks * rows)) - 1) // ((1 << rows) - 1)
+        free = n - size
+        # (position below the top, top position) -> (mask, delta) of the swap
+        swaps = {
+            (i, j): (_swap_mask(n, i, j) * every_block, (1 << j) - (1 << i))
+            for i in range(free)
+            for j in range(free, n)
+        }
+        top = range(free, n)
+        nbytes = (blocks * rows) >> 3
         width = 1 << (free - 3)  # bytes per column
         code = _COLUMN_FORMATS.get(width)
-        top = range(free, n)
-        best = best_combo = None
-        examined = 0
-        for combo, bound in zip(
-            combinations(levels, size),
-            combinations([pos_of[lvl] for lvl in levels], size),
+        columns = 1 << size  # columns per block
+        spans = [(k * columns, (k + 1) * columns) for k in range(blocks)]
+        pos_of = {lvl: pos for pos, lvl in enumerate(order)}
+        positions = [pos_of[lvl] for lvl in levels]
+        # level -> number of outputs depending on it
+        weights = [
+            sum(support >> lvl & 1 for support in vector.supports) for lvl in levels
+        ]
+        stop = blocks == 1 and weights.count(1) == n
+        table: list[Triple] = []
+        for bound, bound_weights in zip(
+            combinations(positions, size), combinations(weights, size)
         ):
-            examined += 1
-            moved = table
+            moved = stacked
             low = [pos for pos in bound if pos < free]
             if low:
                 high = [pos for pos in top if pos not in bound]
-                for i, j in zip(low, high):
-                    moved = _swap_positions(moved, n, i, j)
+                for pair in zip(low, high):
+                    mask, delta = swaps[pair]
+                    moved = _delta_swap(moved, mask, delta)
             data = moved.to_bytes(nbytes, "little")
             if code is not None:
-                count = len(set(memoryview(data).cast(code)))
+                cols = memoryview(data).cast(code)
             else:
-                count = len({
-                    data[k:k + width] for k in range(0, nbytes, width)
-                })
-            if best is None or count < best:
-                best, best_combo = count, combo
-                if count == 2:
-                    break
-        bmask = 0
-        for lvl in best_combo:
-            bmask |= 1 << lvl
-        key = (self._vector_id((f,)), bmask)
-        if key not in self._triples:
-            self._store(self._triples, key, (best, best, size))
-        return best_combo, examined
+                cols = [data[k:k + width] for k in range(0, nbytes, width)]
+            if blocks == 1:
+                p = classes = len(set(cols))
+            else:
+                parts = [cols[lo:hi] for lo, hi in spans]
+                classes = sum(len(set(part)) for part in parts)
+                p = len(set(zip(*parts)))
+            table.append((p, classes, sum(bound_weights)))
+            if stop and p == 2:
+                break
+        return table
 
     def triples(
         self,
@@ -387,30 +499,18 @@ class BoundSetKernel:
     ) -> list[Triple]:
         """The triple of every candidate bound set in ``combos``, in order."""
         self._bind(bdd)
-        vector = tuple(f_nodes)
-        vid = self._vector_id(vector)
-        # support masks, and level -> outputs depending on it
-        supports: list[int] = []
-        touched_by: dict[int, list[int]] = {}
-        for i, f in enumerate(vector):
-            mask = 0
-            for lvl in bdd.support(f):
-                mask |= 1 << lvl
-                touched_by.setdefault(lvl, []).append(i)
-            supports.append(mask)
+        vector = self._vector(bdd, f_nodes)
+        touched_by = vector.touched_by
         memo = self._triples
         out = []
         for combo in combos:
-            bmask = 0
-            for lvl in combo:
-                bmask |= 1 << lvl
-            key = (vid, bmask)
+            key = (vector.vid, _mask(combo))
             triple = memo.get(key)
             if triple is None:
                 touched: set[int] = set()
                 for lvl in combo:
                     touched.update(touched_by.get(lvl, ()))
-                triple = self._score(bdd, vector, supports, touched, bmask)
+                triple = self._score(bdd, vector, touched, key[1])
                 self._store(memo, key, triple)
             out.append(triple)
         return out
@@ -445,20 +545,18 @@ class BoundSetKernel:
         return parts
 
     def _score(
-        self,
-        bdd: BDD,
-        vector: tuple[int, ...],
-        supports: list[int],
-        touched: set[int],
-        bmask: int,
+        self, bdd: BDD, vector: _Vector, touched: set[int], bmask: int
     ) -> Triple:
         """The triple of candidate ``bmask``, which ``touched`` outputs depend on."""
-        classes = len(vector) - len(touched)
+        nodes = vector.nodes
+        memo = self._classes
+        classes = len(nodes) - len(touched)
         dependence = union = 0
         involved = []
         for i in touched:
-            dep = bmask & supports[i]
-            vec, count = self._class_vector(bdd, vector[i], dep)
+            f = nodes[i]
+            dep = bmask & vector.supports[i]
+            vec, count = memo.get((f, dep)) or self._class_vector(bdd, f, dep)
             classes += count
             dependence += dep.bit_count()
             union |= dep
@@ -468,12 +566,13 @@ class BoundSetKernel:
         if len(involved) == 1:
             return count, classes, dependence
         levels = _levels(union)
-        columns = [
-            vec if dep == union
-            else self._gather(
-                len(levels),
-                tuple(j for j, lvl in enumerate(levels) if dep >> lvl & 1),
-            )(vec)
-            for vec, dep in involved
-        ]
+        size = len(levels)
+        gathers = self._gathers
+        columns = []
+        for vec, dep in involved:
+            if dep != union:
+                positions = [j for j, lvl in enumerate(levels) if dep >> lvl & 1]
+                key = (size, tuple(positions))
+                vec = (gathers.get(key) or self._gather(*key))(vec)
+            columns.append(vec)
         return len(set(zip(*columns))), classes, dependence

@@ -13,16 +13,20 @@ local classes -- and search either exhaustively (small inputs) or greedily
 extension).
 
 Every candidate is scored by one exact kernel
-(:class:`repro.partitioning.kernel.BoundSetKernel`), which memoizes the
-per-output class structure and the per-candidate score across candidates,
-calls and both scorers, and remembers each search's winner, so a repeated
-search is one lookup.  An exhaustive search over one output whose support
-is exactly the candidate levels counts distinct cofactor columns instead
-(:meth:`~repro.partitioning.kernel.BoundSetKernel.column_search`), which
-orders the candidates the same way.  Candidate enumeration order is fixed
-and ties always resolve to the earliest candidate, so the chosen bound set
-equals a plain first-minimum scan over :func:`score_bound_set`, the
-reference scorer the tests compare the kernel against.
+(:class:`repro.partitioning.kernel.BoundSetKernel`), which remembers each
+search's winner under the vector's outputs in any order, so a repeated
+search is one lookup.  An exhaustive search counts the distinct cofactor
+columns of the outputs' stacked truth tables
+(:meth:`~repro.partitioning.kernel.BoundSetKernel.column_search`), one
+table of candidate scores for both scorers; a greedy search, and the
+shapes the column count declines (too few free variables, too many
+levels, a support level outside the candidates), score through memoized
+per-output class-id vectors
+(:meth:`~repro.partitioning.kernel.BoundSetKernel.triples`).  Both routes
+give the same exact score.  Candidate enumeration order is
+fixed and ties always resolve to the earliest candidate, so the chosen
+bound set equals a plain first-minimum scan over :func:`score_bound_set`,
+the reference scorer the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro import observe
 from repro.bdd.manager import BDD
 from repro.decompose.compat import local_partition
 from repro.decompose.partitions import Partition
-from repro.partitioning.kernel import BoundSetKernel, Triple, tabulable
+from repro.partitioning.kernel import BoundSetKernel, first_minimum, tabulable
 
 Strategy = Literal["auto", "exhaustive", "greedy", "random"]
 Scorer = Literal["compact", "shared"]
@@ -80,17 +84,6 @@ def score_bound_set(
     if scorer == "compact":
         return glob.num_blocks, total_classes, -dependence
     raise ValueError(f"unknown scorer {scorer!r}")
-
-
-def _first_minimum(triples: list[Triple], scorer: Scorer) -> int:
-    """Index of the first candidate with the smallest ``scorer`` key."""
-    if scorer == "compact":
-        keys = [(p, classes, -dep) for p, classes, dep in triples]
-    elif scorer == "shared":
-        keys = [(p, -dep, classes) for p, classes, dep in triples]
-    else:
-        raise ValueError(f"unknown scorer {scorer!r}")
-    return keys.index(min(keys))
 
 
 def choose_bound_set(
@@ -163,9 +156,7 @@ def _search(
 ) -> list[int]:
     """The first best candidate of an exhaustive or greedy search."""
     if strategy == "exhaustive":
-        found = None
-        if len(f_nodes) == 1:
-            found = kernel.column_search(bdd, f_nodes[0], levels, bound_size)
+        found = kernel.column_search(bdd, f_nodes, levels, bound_size, scorer)
         if found is not None:
             bs, examined = found
             observe.add("candidates_scored", examined)
@@ -173,13 +164,13 @@ def _search(
         combos = list(itertools.combinations(levels, bound_size))
         observe.add("candidates_scored", len(combos))
         triples = kernel.triples(bdd, f_nodes, combos)
-        return list(combos[_first_minimum(triples, scorer)])
+        return list(combos[first_minimum(triples, scorer)])
     bs: list[int] = []
     remaining = list(levels)
     while len(bs) < bound_size:
         observe.add("candidates_scored", len(remaining))
         triples = kernel.triples(bdd, f_nodes, [bs + [var] for var in remaining])
-        best_var = remaining[_first_minimum(triples, scorer)]
+        best_var = remaining[first_minimum(triples, scorer)]
         bs.append(best_var)
         remaining.remove(best_var)
     return bs

@@ -45,7 +45,7 @@ from repro.errors import BudgetExceeded, ReproError, RunInterrupted
 from repro.io import parse_network
 from repro.io.blif import write_blif
 from repro.mapping.flow import FlowConfig, synthesize, verify_flow
-from repro.observe import Budget, Tracer, build_report
+from repro.observe import Tracer, build_report
 from repro.serve.wire import PRIORITIES, JobRequest, job_envelope
 from repro.targets import report_section
 
@@ -187,6 +187,7 @@ class JobRegistry:
             try:
                 payload = json.loads(path.read_text())
                 request = JobRequest(**payload["request"])
+                request.budgets()
                 job = Job(id=payload["id"], request=request)
             except (ValueError, TypeError, KeyError):
                 continue  # unreadable spec: skip, never crash startup
@@ -263,12 +264,7 @@ def run_job(job: Job, registry: JobRegistry, execution: FlowConfig) -> None:
     ``failures`` array populated.
     """
     request = job.request
-    budgets: dict[str, Budget] = {}
-    if request.budget_seconds is not None or request.budget_nodes is not None:
-        budgets["synthesize"] = Budget(
-            seconds=request.budget_seconds, nodes=request.budget_nodes
-        )
-    tracer = Tracer(budgets=budgets)
+    tracer = Tracer(budgets=request.budgets())
     job.tracer = tracer
     job.transition("running")
     started = time.perf_counter()

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 
 from repro.mapping.flow import FlowConfig
+from repro.observe import Budget
 
 #: Schema identifier stamped into every job envelope.
 SCHEMA_ID = "repro-serve-job/1"
@@ -94,6 +95,19 @@ class JobRequest:
         """JSON-ready form (persisted in the state dir, replayed on resume)."""
         return asdict(self)
 
+    def budgets(self) -> dict[str, Budget]:
+        """The run's soft budgets, by span name (none when both are unset).
+
+        Raises ``ValueError`` on a negative, NaN or infinite budget.
+        """
+        if self.budget_seconds is None and self.budget_nodes is None:
+            return {}
+        return {
+            "synthesize": Budget(
+                seconds=self.budget_seconds, nodes=self.budget_nodes
+            )
+        }
+
     def flow_config(self, execution: FlowConfig | None = None) -> FlowConfig:
         """The request's semantic knobs on ``execution``, the server's
         execution config (default: a serial one-shot run).
@@ -134,9 +148,10 @@ def parse_submission(payload: object) -> JobRequest:
 
     Raises :class:`WireError` (mapped to HTTP 400) on anything that is
     not an object with a non-empty ``circuit`` string and well-typed
-    optional knobs, or whose knobs the flow rejects (checked by building
-    the request's :class:`FlowConfig`); unknown keys are rejected so
-    client typos fail loudly instead of silently running with defaults.
+    optional knobs, or whose knobs the flow or the tracer rejects (checked
+    by building the request's :class:`FlowConfig` and budgets); unknown
+    keys are rejected so client typos fail loudly instead of silently
+    running with defaults.
     """
     if not isinstance(payload, dict):
         raise WireError("submission must be a JSON object")
@@ -161,6 +176,7 @@ def parse_submission(payload: object) -> JobRequest:
         )
     try:
         request.flow_config()
+        request.budgets()
     except ValueError as exc:
         raise WireError(str(exc)) from None
     return request

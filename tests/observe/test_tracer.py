@@ -113,6 +113,18 @@ class TestWatchDeltas:
 
 
 class TestBudgets:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"seconds": -1.0}, {"seconds": float("nan")},
+         {"seconds": float("inf")}, {"nodes": -5}],
+    )
+    def test_out_of_range_budget_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="budget"):
+            Budget(**kwargs)
+
+    def test_zero_budget_is_valid(self):
+        assert Budget(seconds=0.0, nodes=0) == Budget(seconds=0, nodes=0)
+
     def test_seconds_budget_raises_at_checkpoint(self):
         tracer = Tracer(budgets={"work": Budget(seconds=0.0)})
         with observe.tracing(tracer):

@@ -1,9 +1,10 @@
-"""The column-count search for one output, and the kernel's winner memo.
+"""The column-count search, and the kernel's winner memo.
 
 ``BoundSetKernel.column_search`` must pick the candidate the kernel's own
-first-minimum scan picks (under both scorers) whenever it applies, and
-decline every other shape.  The winner memo and the per-run kernel must
-never change a chosen bound set.
+first-minimum scan picks, and on vectors of several outputs the reference
+``score_bound_set`` picks (under both scorers, in any output order),
+whenever it applies, and decline every other shape.  The winner memo and
+the per-run kernel must never change a chosen bound set.
 """
 
 import itertools
@@ -23,13 +24,14 @@ from repro.mapping import flow as flow_module
 from repro.mapping.flow import FlowConfig, synthesize
 from repro.network.network import Network
 from repro.observe import Tracer
-from repro.partitioning.kernel import COLUMN_MIN_FREE, TT_MAX_VARS, BoundSetKernel
-from repro.partitioning.outputs import partition_outputs
-from repro.partitioning.variables import (
-    _first_minimum,
-    choose_bound_set,
-    score_bound_set,
+from repro.partitioning.kernel import (
+    COLUMN_MIN_FREE,
+    TT_MAX_VARS,
+    BoundSetKernel,
+    first_minimum,
 )
+from repro.partitioning.outputs import partition_outputs
+from repro.partitioning.variables import choose_bound_set, score_bound_set
 
 
 @st.composite
@@ -61,18 +63,47 @@ def single_outputs(draw):
     return bdd, f, list(order), size
 
 
+@st.composite
+def vectors(draw):
+    """2 to 5 outputs over shuffled candidate levels with gaps between them.
+
+    3 to 7 free variables make columns of 1, 2, 4, 8 and 16 bytes; each
+    output depends on a drawn subset of the levels, so bound variables an
+    output does not depend on, small supports (repeated columns, ties) and
+    equal outputs all occur.  Returns the case and a permutation of its
+    outputs.
+    """
+    free = draw(st.integers(COLUMN_MIN_FREE, 7), label="free")
+    size = draw(st.integers(1, 3), label="size")
+    n = free + size
+    bdd = BDD()
+    bdd.add_vars(n + 3)
+    levels = sorted(draw(st.permutations(range(n + 3)))[:n])
+    nodes = []
+    for _ in range(draw(st.integers(2, 5), label="outputs")):
+        support = sorted(
+            draw(st.lists(st.sampled_from(levels), min_size=1, max_size=n,
+                          unique=True))
+        )
+        bits = draw(st.integers(0, (1 << (1 << len(support))) - 1))
+        nodes.append(bdd.from_truth_bits(bits, support))
+    order = draw(st.permutations(levels), label="order")
+    permutation = draw(st.permutations(range(len(nodes))), label="permutation")
+    return bdd, nodes, list(order), size, [nodes[i] for i in permutation]
+
+
 class TestColumnSearch:
     @given(single_outputs())
     @settings(max_examples=60, deadline=None)
     def test_equals_the_kernels_first_minimum(self, case):
         bdd, f, levels, size = case
-        found = BoundSetKernel().column_search(bdd, f, levels, size)
+        found = BoundSetKernel().column_search(bdd, [f], levels, size)
         assert found is not None
         combo, examined = found
         combos = list(itertools.combinations(levels, size))
         triples = BoundSetKernel().triples(bdd, [f], combos)
         for scorer in ("compact", "shared"):
-            assert combo == combos[_first_minimum(triples, scorer)]
+            assert combo == combos[first_minimum(triples, scorer)]
         # The scan stops at the first two-column candidate, if any.
         counts = [p for p, _, _ in triples]
         stop = counts.index(2) + 1 if 2 in counts else len(combos)
@@ -102,19 +133,64 @@ class TestColumnSearch:
         six = bdd.from_truth_bits(0x6996_9669_1EE1_8EE8, list(range(6)))
         assert bdd.support(six) == frozenset(range(6))
         # too few free variables for whole-byte columns
-        assert kernel.column_search(bdd, six, list(range(6)), 4) is None
-        # a candidate level outside the support
-        assert kernel.column_search(bdd, six, list(range(7)), 2) is None
+        assert kernel.column_search(bdd, [six], list(range(6)), 4) is None
+        # a candidate level outside the support is counted, not declined
+        combos = list(itertools.combinations(range(7), 2))
+        keys = [score_bound_set(bdd, [six], combo) for combo in combos]
+        assert kernel.column_search(bdd, [six], list(range(7)), 2) == (
+            combos[keys.index(min(keys))], len(combos)
+        )
         # a support level missing from the candidates
-        assert kernel.column_search(bdd, six, list(range(5)), 1) is None
+        assert kernel.column_search(bdd, [six], list(range(5)), 1) is None
         # too wide for a truth table
         parity = 0
         for lvl in range(TT_MAX_VARS + 1):
             parity = bdd.apply_xor(parity, bdd.var(lvl))
         wide = list(range(TT_MAX_VARS + 1))
-        assert kernel.column_search(bdd, parity, wide, 2) is None
+        assert kernel.column_search(bdd, [parity], wide, 2) is None
         # the shape it takes
-        assert kernel.column_search(bdd, six, list(range(6)), 3) is not None
+        assert kernel.column_search(bdd, [six], list(range(6)), 3) is not None
+
+    @given(vectors())
+    @settings(max_examples=40, deadline=None)
+    def test_vector_count_equals_the_reference(self, case):
+        bdd, nodes, levels, size, permuted = case
+        # one kernel for both scorers and two bound sizes
+        kernel = BoundSetKernel()
+        for bound in sorted({size, max(1, size - 1)}):
+            combos = list(itertools.combinations(levels, bound))
+            for scorer in ("compact", "shared"):
+                keys = [score_bound_set(bdd, nodes, combo, scorer) for combo in combos]
+                expected = combos[keys.index(min(keys))]
+                assert kernel.column_search(bdd, nodes, levels, bound, scorer) == (
+                    expected, len(combos)
+                )
+                p, classes, dependence = kernel.score(bdd, nodes, expected)
+                assert (p, classes, -dependence) == score_bound_set(
+                    bdd, nodes, expected
+                )
+                assert BoundSetKernel().column_search(
+                    bdd, permuted, levels, bound, scorer
+                ) == (expected, len(combos))
+
+    def test_declined_vector_shapes(self):
+        bdd = BDD()
+        bdd.add_vars(16)
+        kernel = BoundSetKernel()
+        pair = [
+            bdd.from_truth_bits(0x6996_9669, [0, 1, 2, 3, 4]),
+            bdd.from_truth_bits(0x8EE8, [2, 3, 4, 5]),
+        ]
+        # too few free variables for whole-byte columns
+        assert kernel.column_search(bdd, pair, list(range(6)), 4) is None
+        # a support level of one output missing from the candidates
+        assert kernel.column_search(bdd, pair, list(range(5)), 1) is None
+        # too many levels for a truth table
+        wide = list(range(TT_MAX_VARS + 1))
+        assert kernel.column_search(bdd, pair, wide, 2) is None
+        # the shape it takes, also with levels no output depends on
+        assert kernel.column_search(bdd, pair, list(range(6)), 3) is not None
+        assert kernel.column_search(bdd, pair, list(range(8)), 2) is not None
 
     def test_counts_the_candidates_it_examined(self):
         bdd = BDD()
@@ -171,6 +247,25 @@ class TestWinnerMemo:
         counters = totals(tracer)
         assert counters["bound_set_memo_hits"] == 1
         assert counters["candidates_scored"] == 2 * 20
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])
+    def test_a_permuted_repeat_is_a_lookup(self, strategy):
+        bdd, nodes = three_outputs()
+        kernel = BoundSetKernel()
+        tracer = Tracer()
+        with observe.tracing(tracer):
+            first = choose_bound_set(
+                bdd, nodes, list(range(6)), 3, strategy=strategy, kernel=kernel
+            )
+            scored = totals(tracer)["candidates_scored"]
+            again = choose_bound_set(
+                bdd, nodes[::-1], list(range(6)), 3, strategy=strategy,
+                kernel=kernel,
+            )
+        assert first == again
+        counters = totals(tracer)
+        assert counters["bound_set_memo_hits"] == 1
+        assert counters["candidates_scored"] == scored
 
     def test_the_winner_is_kept_per_candidate_order(self):
         bdd, nodes = three_outputs()

@@ -6,7 +6,8 @@ a byte of it:
 
 - bit-parallel z-spaces (``BITSET_MAX_CLASSES``; 0 puts every z-space on
   a BDD);
-- the column-count search for one output (``column_search`` declined);
+- the column-count search of every exhaustive bound-set search
+  (``column_search`` declined, so every search scans class-id vectors);
 - the serial run's shared bound-set kernel (``partition_kernel`` None).
 """
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.observe import Budget
 from repro.serve import (
     JOB_STATUSES,
     SCHEMA_ID,
@@ -94,11 +95,22 @@ class TestParseSubmission:
             {"circuit": "x", "rugged": "yes"},
             {"circuit": "x", "budget_nodes": 3.5},
             {"circuit": "x", "k": 2},
+            {"circuit": "x", "budget_seconds": -1},
+            {"circuit": "x", "budget_seconds": float("nan")},
+            {"circuit": "x", "budget_seconds": float("inf")},
+            {"circuit": "x", "budget_nodes": -5},
         ],
     )
     def test_rejects_malformed(self, payload):
         with pytest.raises(WireError):
             parse_submission(payload)
+
+    def test_zero_budgets_are_admitted(self):
+        req = parse_submission(
+            {"circuit": "x", "budget_seconds": 0, "budget_nodes": 0}
+        )
+        assert req.budgets()["synthesize"] == Budget(seconds=0, nodes=0)
+        assert parse_submission({"circuit": "x"}).budgets() == {}
 
     def test_round_trips_as_dict(self):
         req = parse_submission({"circuit": "x", "k": 6})

@@ -207,6 +207,16 @@ class TestObservability:
         assert rc == 0
         assert "verified" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--budget-seconds", "-1"), ("--budget-seconds", "nan"),
+         ("--budget-seconds", "inf"), ("--budget-nodes", "-5")],
+    )
+    def test_out_of_range_budget_exits_2(self, pla_file, capsys, flag, value):
+        assert main(["synth", str(pla_file), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: budget") and len(err.splitlines()) == 1
+
 
 class TestExecutorFlag:
     def test_serial_and_process_agree(self, pla_file, tmp_path, capsys):

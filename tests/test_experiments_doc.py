@@ -3,10 +3,10 @@
 Both Table 2 excerpts and their aggregate sentences are checked against
 the committed BENCH files: the rugged one against
 ``benchmarks/results/BENCH_table2_rugged.json`` (every measured
-``r+I / r+F`` pair, the CLB totals and the rounded saving), the collapsed
-one against ``benchmarks/results/BENCH_table2_xc3000.json`` (every row's
-measured ``I / S`` pair, the totals, the saving and the win/tie/loss
-count).
+``r+I / r+F`` pair, the CLB totals and the rounded saving, and the des
+phase seconds quoted under "Known deviations"), the collapsed one against
+``benchmarks/results/BENCH_table2_xc3000.json`` (every row's measured
+``I / S`` pair, the totals, the saving and the win/tie/loss count).
 """
 
 import json
@@ -21,6 +21,10 @@ COLLAPSED_SECTION = "## Table 2, columns IMODEC / Single"
 ROW = re.compile(r"^\|\s*(\w+)\s*\|[^|]*\|\s*(\d+)\s*/\s*(\d+)\b")
 AGGREGATE = re.compile(
     r"measured \*\*(\d+) %\*\* on the full set \((\d+) vs (\d+) CLBs\)"
+)
+DES_PHASES = re.compile(
+    r"des: `choose_bound_set` takes ([\d.]+) s in the trials and ([\d.]+) s "
+    r"in decompose-vector, of the ([\d.]+) s `map` phase"
 )
 COLLAPSED_AGGREGATE = re.compile(
     r"measured \*\*(\d+) %\*\* \((\d+) vs (\d+) CLBs\) with "
@@ -76,6 +80,22 @@ def test_rugged_aggregate_matches_bench():
     assert multi == sum(row["clb_multi"] for row in data["rows"])
     assert single == sum(row["clb_single"] for row in data["rows"])
     assert saving == round(data["saving_pct"])
+
+
+def test_quoted_des_seconds_match_bench():
+    text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    found = DES_PHASES.search(" ".join(text.split()))
+    assert found, "des phase sentence not found"
+    data = bench()
+    assert not data["quick"], "the committed artifact must be a full run"
+    (des,) = [row for row in data["rows"] if row["name"] == "des"]
+    phases = des["phases"]
+    quoted = tuple(float(value) for value in found.groups())
+    assert quoted == (
+        round(phases["map/partition_outputs/choose_bound_set"], 2),
+        round(phases["map/decompose-vector/choose_bound_set"], 2),
+        round(phases["map"], 2),
+    )
 
 
 def test_collapsed_table_matches_bench():
